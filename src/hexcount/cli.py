@@ -24,7 +24,8 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from decimal import Decimal
+from typing import Callable, Iterator, Sequence
 
 from .closedform import (
     HexagonParams,
@@ -57,6 +58,13 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _decimal(value: ExactInt) -> str:
+    """A count in decimal.  ``str`` refuses ints of more than 4300 digits,
+    a guard meant for parsing untrusted text; ``Decimal`` converts any int
+    exactly and without that limit."""
+    return str(Decimal(value))
+
+
 @dataclass
 class MethodResult:
     method: str
@@ -67,7 +75,7 @@ class MethodResult:
     def to_dict(self) -> dict:
         return {
             "method": self.method,
-            "value": None if self.value is None else str(self.value),
+            "value": None if self.value is None else _decimal(self.value),
             "elapsed": round(self.elapsed, 6),
             "note": self.note,
         }
@@ -101,7 +109,7 @@ class RunReport:
         header = " ".join(f"{k}={v}" for k, v in self.params.items())
         print(f"{self.command} {header}".rstrip(), file=out)
         for r in self.results:
-            value = "-" if r.value is None else str(r.value)
+            value = "-" if r.value is None else _decimal(r.value)
             note = f"  [{r.note}]" if r.note else ""
             print(f"  {r.method:<14} {value}{note}  ({r.elapsed:.3f}s)", file=out)
         for note in self.notes:
@@ -191,6 +199,17 @@ def cmd_propp(args: argparse.Namespace) -> int:
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
+def _all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
+    """Every valid (a, b, c, r, s, t) with sides up to the given bounds,
+    in lexicographic order."""
+    for a, b, c in itertools.product(
+        range(max_a + 1), range(max_b + 1), range(max_c + 1)
+    ):
+        yield from itertools.product(
+            [a], [b], [c], range(1, a + 3), range(1, b + 3), range(1, c + 3)
+        )
+
+
 @dataclass
 class VerifyOutcome:
     instances: int = 0
@@ -227,39 +246,25 @@ def run_verify(
     harness can be shown to catch a planted disagreement.
     """
     outcome = VerifyOutcome()
-    for a in range(max_a + 1):
-        for b in range(max_b + 1):
-            for c in range(max_c + 1):
-                for r in range(1, a + 3):
-                    for s in range(1, b + 3):
-                        for t in range(1, c + 3):
-                            p = HexagonParams(a, b, c, r, s, t)
-                            outcome.instances += 1
-                            values: dict[str, ExactInt] = {}
-                            values["formula"] = count_theorem1(p)
-                            if fault is not None:
-                                values["formula"] = fault(p, values["formula"])
-                            m = build_matrix_M(*p.astuple())
-                            values["det"] = det_elimination(m)
-                            values["det-condense"] = det_condensation(m)
-                            if include_brute:
-                                for name, fn in (
-                                    ("brute", enumerate_path_families),
-                                    ("brute-pp", enumerate_constrained_pp),
-                                ):
-                                    try:
-                                        values[name] = fn(p, budget=Budget(budget))
-                                    except BudgetExceededError as exc:
-                                        outcome.skipped.append({
-                                            "params": p.astuple(),
-                                            "method": name,
-                                            "note": str(exc),
-                                        })
-                            if len(set(values.values())) > 1:
-                                outcome.disagreements.append({
-                                    "params": p.astuple(),
-                                    "values": {k: str(v) for k, v in values.items()},
-                                })
+    methods = [m for m in METHODS if include_brute or not m.startswith("brute")]
+    for params in _all_params(max_a, max_b, max_c):
+        p = HexagonParams(*params)
+        outcome.instances += 1
+        values: dict[str, ExactInt] = {}
+        for name in methods:
+            try:
+                values[name] = METHODS[name](p, budget)
+            except BudgetExceededError as exc:
+                outcome.skipped.append(
+                    {"params": params, "method": name, "note": str(exc)}
+                )
+        if fault is not None:
+            values["formula"] = fault(p, values["formula"])
+        if len(set(values.values())) > 1:
+            outcome.disagreements.append({
+                "params": params,
+                "values": {k: _decimal(v) for k, v in values.items()},
+            })
     return outcome
 
 
@@ -341,18 +346,11 @@ def run_identities(bound: int, trials: int, seed: int) -> dict:
 
     failures = []
     total = 0
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            for c in range(bound + 1):
-                for r in range(1, a + 3):
-                    for s in range(1, b + 3):
-                        for t in range(1, c + 3):
-                            report = check_relabelling_identities(a, b, c, r, s, t)
-                            total += 1
-                            if not report.ok:
-                                failures.append(
-                                    f"{(a, b, c, r, s, t)}: {report.failures()}"
-                                )
+    for params in _all_params(bound, bound, bound):
+        report = check_relabelling_identities(*params)
+        total += 1
+        if not report.ok:
+            failures.append(f"{params}: {report.failures()}")
     record("minor-relabelling", total, failures)
 
     summary["ok"] = not summary["failures"]
@@ -494,6 +492,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "budget" in vars(args):  # a malformed budget fails before any work
+            try:
+                args.budget = Budget(args.budget).limit
+            except ValueError as exc:
+                raise _UsageError(str(exc))
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

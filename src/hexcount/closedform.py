@@ -6,18 +6,19 @@ bracket in the parameters.  This module evaluates that formula exactly,
 together with the closed forms for the two key connected minors of the
 path-count matrix, the classical factorisation lemma they rest on, and
 the polynomial identities that stitch the minors back into the full
-determinant.  Everything returns exact integers; intermediate ratios
-use ``fractions.Fraction`` so a non-integer result (impossible if the
-formulas are transcribed correctly) raises instead of rounding.
+determinant.  Every product formula is recorded as exponents of
+integers in ``exact.Exponents`` and multiplied out once, over primes;
+the polynomial factor joins as a cofactor.  A non-integer result
+(impossible if the formulas are transcribed correctly) raises
+``ArithmeticError`` instead of rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .exact import ExactInt, factorial, pochhammer, superfactorial
+from .exact import ExactInt, Exponents
 from . import lgv
 from .lgv import det_elimination, minor, validate_parameters
 
@@ -52,30 +53,6 @@ def _as_params(p: HexagonParams | Sequence[int]) -> HexagonParams:
     return HexagonParams(*p)
 
 
-def _rising(base: int, length: int) -> Fraction:
-    """Rising factorial extended to negative length.
-
-    For length == -m (m > 0) the value is 1 / ((base-1)(base-2)...(base-m)),
-    the unique extension satisfying (x)_n = (x)_{n+1} / (x+n).
-    """
-    if length >= 0:
-        return Fraction(pochhammer(base, length))
-    denominator = 1
-    for k in range(1, -length + 1):
-        denominator *= base - k
-    if denominator == 0:
-        raise ZeroDivisionError(
-            f"rising factorial ({base})_({length}) hits a zero factor"
-        )
-    return Fraction(1, denominator)
-
-
-def _exact_int(value: Fraction, what: str) -> ExactInt:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} evaluated to non-integer {value}")
-    return value.numerator
-
-
 def theorem_bracket(a: int, b: int, c: int, r: int, s: int, t: int) -> ExactInt:
     """The six-term polynomial factor of the main closed form."""
     return (
@@ -91,22 +68,15 @@ def theorem_bracket(a: int, b: int, c: int, r: int, s: int, t: int) -> ExactInt:
 def count_theorem1(p: HexagonParams | Sequence[int]) -> ExactInt:
     """Closed-form count of tilings with the three fixed border tiles."""
     a, b, c, r, s, t = _as_params(p).astuple()
-    poch = (
-        pochhammer(r + 1, b)
-        * pochhammer(s + 1, c)
-        * pochhammer(t + 1, a)
-        * pochhammer(c + 3 - t, b)
-        * pochhammer(a + 3 - r, c)
-        * pochhammer(b + 3 - s, a)
-    )
-    ratio = Fraction(
-        superfactorial(a) * superfactorial(b) * superfactorial(c)
-        * superfactorial(a + b + c + 2),
-        superfactorial(b + c + 2) * superfactorial(a + c + 2)
-        * superfactorial(a + b + 2),
-    )
-    total = poch * ratio * theorem_bracket(a, b, c, r, s, t)
-    return _exact_int(total, "closed-form count")
+    x = Exponents()
+    for base, length in ((r + 1, b), (s + 1, c), (t + 1, a),
+                         (c + 3 - t, b), (a + 3 - r, c), (b + 3 - s, a)):
+        x.rising(base, length)
+    for n in (a, b, c, a + b + c + 2):
+        x.superfactorial(n)
+    for n in (b + c + 2, a + c + 2, a + b + 2):
+        x.superfactorial(n, -1)
+    return x.value(theorem_bracket(a, b, c, r, s, t), "closed-form count")
 
 
 def count_propp(n: int) -> ExactInt:
@@ -114,37 +84,30 @@ def count_propp(n: int) -> ExactInt:
     r = s = t = n + 1 (the central fixed tiles)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    value = (
-        Fraction(pochhammer(n + 2, 2 * n)) ** 6
-        * Fraction(superfactorial(2 * n)) ** 3
-        * superfactorial(6 * n + 2)
-        / Fraction(superfactorial(4 * n + 2)) ** 3
-        * (n + 1) ** 3
-        * (3 * n + 1)
-        * (3 * n + 2) ** 2
-    )
-    return _exact_int(value, "symmetric-case count")
+    x = Exponents()
+    x.rising(n + 2, 2 * n, 6)
+    x.superfactorial(2 * n, 3)
+    x.superfactorial(6 * n + 2)
+    x.superfactorial(4 * n + 2, -3)
+    cofactor = (n + 1) ** 3 * (3 * n + 1) * (3 * n + 2) ** 2
+    return x.value(cofactor, "symmetric-case count")
 
 
 def count_macmahon_box(a: int, b: int, c: int) -> ExactInt:
     """Number of plane partitions in an a x b x c box.
 
-    Classical product formula, written as a superfactorial ratio with
-    the convention that an empty product (any side 0) gives 1.
+    Classical product formula, written as a ratio of the products
+    0! 1! ... (n-1)!, with the convention that an empty product (any
+    side 0) gives 1.
     """
     for name, value in (("a", a), ("b", b), ("c", c)):
         if value < 0:
             raise ValueError(f"side {name} must be >= 0, got {value}")
-
-    def sf(n: int) -> ExactInt:
-        # product of k! for k = 0..n-1; empty for n == 0
-        return superfactorial(n - 1) if n > 0 else 1
-
-    value = Fraction(
-        sf(a) * sf(b) * sf(c) * sf(a + b + c),
-        sf(a + b) * sf(b + c) * sf(a + c),
-    )
-    return _exact_int(value, "box count")
+    x = Exponents()
+    for n, e in ((a, 1), (b, 1), (c, 1), (a + b + c, 1),
+                 (a + b, -1), (b + c, -1), (a + c, -1)):
+        x.superfactorial(n - 1, e)
+    return x.value(1, "box count")
 
 
 def det_inner_closed(a: int, b: int, c: int, r: int) -> ExactInt:
@@ -159,17 +122,21 @@ def det_inner_closed(a: int, b: int, c: int, r: int) -> ExactInt:
         raise ValueError(f"sides b, c must be >= 0, got {b}, {c}")
     if not 1 <= r <= a + 1:
         raise ValueError(f"position r must be in 1..{a + 1}, got {r}")
-    numerator = Fraction(factorial(b + c + 3)) ** a
-    numerator *= factorial(a + c + 2 - r) * factorial(b + r)
-    for i in range(1, a + 2):
-        for j in range(i + 1, a + 2):
-            numerator *= j - i
-    for k in range(a - 1):
-        numerator *= (b + c + k + 4) ** (a - 1 - k)
-    denominator = factorial(a + 1 - r) * factorial(r - 1)
+    x = Exponents()
+    x.factorial(b + c + 3, a)
+    x.factorial(a + c + 2 - r)
+    x.factorial(b + r)
+    # prod_{1 <= i < j <= a+1} (j - i): each difference d occurs a+1-d times
+    x.superfactorial(a)
+    # prod_k (b+c+k+4)**(a-1-k), as the products (b+c+4)...(b+c+3+j)
+    for j in range(1, a):
+        x.interval(b + c + 4, b + c + 3 + j)
+    x.factorial(a + 1 - r, -1)
+    x.factorial(r - 1, -1)
     for j in range(1, a + 2):
-        denominator *= factorial(b + j) * factorial(a + c + 2 - j)
-    return _exact_int(numerator / denominator, "inner minor determinant")
+        x.factorial(b + j, -1)
+        x.factorial(a + c + 2 - j, -1)
+    return x.value(1, "inner minor determinant")
 
 
 def det_m00_closed(a: int, b: int, c: int, r: int, s: int) -> ExactInt:
@@ -178,7 +145,7 @@ def det_m00_closed(a: int, b: int, c: int, r: int, s: int) -> ExactInt:
 
     t does not enter: row 0 carried all the t-dependence.  Some rising
     factorials appear with negative length at the ends of the r range;
-    ``_rising`` supplies the standard extension.
+    ``Exponents.rising`` supplies the standard extension.
     """
     if a < 1:
         raise ValueError(f"side a must be >= 1, got {a}")
@@ -188,25 +155,23 @@ def det_m00_closed(a: int, b: int, c: int, r: int, s: int) -> ExactInt:
         raise ValueError(f"position r must be in 1..{a + 2}, got {r}")
     if not 1 <= s <= b + 2:
         raise ValueError(f"position s must be in 1..{b + 2}, got {s}")
-    value = Fraction(1)
+    x = Exponents()
     for i in range(1, a + 1):
-        value *= _rising(b + i + 3, c + 1 - i) / factorial(c + i + 2)
-    value *= Fraction(pochhammer(s + 1, c), factorial(a + c + 2))
-    prefactor = 1
-    for i in range(1, a + 1):
-        prefactor *= factorial(i)
-    value *= Fraction(prefactor, factorial(r - 1) * factorial(a + 2 - r))
-    value *= (
-        _rising(c + 2, a + 1 - r)
-        * _rising(b + 3, r - 2)
-        * _rising(c + 1, a + 2)
-        * _rising(c + 3, a)
-        * _rising(b + 3 - s, a)
-    )
-    for k in range(4, a + 3):
-        value *= (b + c + k) ** (a + 3 - k)
-    value *= (b + 2) * (a + 1) - (r - 1) * (b + 2 - s)
-    return _exact_int(value, "first minor determinant")
+        x.rising(b + i + 3, c + 1 - i)
+        x.factorial(c + i + 2, -1)
+    x.rising(s + 1, c)
+    x.factorial(a + c + 2, -1)
+    x.superfactorial(a)
+    x.factorial(r - 1, -1)
+    x.factorial(a + 2 - r, -1)
+    for base, length in ((c + 2, a + 1 - r), (b + 3, r - 2), (c + 1, a + 2),
+                         (c + 3, a), (b + 3 - s, a)):
+        x.rising(base, length)
+    # prod_k (b+c+k)**(a+3-k), as the products (b+c+4)...(b+c+j)
+    for j in range(4, a + 3):
+        x.interval(b + c + 4, b + c + j)
+    cofactor = (b + 2) * (a + 1) - (r - 1) * (b + 2 - s)
+    return x.value(cofactor, "first minor determinant")
 
 
 def check_krattenthaler_lemma(

@@ -4,19 +4,95 @@ Every count produced by this package is an exact integer.  Python's
 built-in ``int`` is already an arbitrary-precision type that round-trips
 through decimal strings, so ``ExactInt`` is an alias rather than a custom
 class.  The helpers here wrap the stdlib with the conventions the rest of
-the package relies on (zero binomials outside the Pascal triangle, cached
-factorials, rising factorials with any integer base).
+the package relies on (zero binomials outside the Pascal triangle, rising
+factorials with any integer base).  ``Exponents`` evaluates products and
+quotients of factorials, superfactorials and rising factorials of
+positive integers without forming any of them.  Nothing here caches.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 ExactInt = int
 
 
-@lru_cache(maxsize=None)
+class Exponents:
+    """A rational number held as one integer exponent per positive integer.
+
+    Factors are recorded, never multiplied out, so a ratio of
+    superfactorials costs a few additions per integer.  ``value`` moves
+    the exponents onto primes by Legendre's formula, multiplies the
+    positive part in a balanced product tree and divides once, exactly,
+    by the negative part.
+    """
+
+    def __init__(self) -> None:
+        self._exps = [0, 0]
+
+    def interval(self, lo: int, hi: int, e: int = 1) -> None:
+        """Multiply by (lo (lo+1) ... hi)**e, for lo >= 1; empty when hi < lo."""
+        if hi < lo:
+            return
+        if lo < 1:
+            raise ValueError(f"factors must be >= 1, got {lo}..{hi}")
+        exps = self._exps
+        exps.extend([0] * (hi + 1 - len(exps)))
+        exps[lo:hi + 1] = [x + e for x in exps[lo:hi + 1]]
+
+    def rising(self, base: int, length: int, e: int = 1) -> None:
+        """Multiply by the rising factorial (base)_length to the power e.
+        A negative length -m stands for 1 / ((base-1)(base-2)...(base-m)),
+        the extension satisfying (x)_n = (x)_{n+1} / (x+n)."""
+        if length >= 0:
+            self.interval(base, base + length - 1, e)
+        else:
+            self.interval(base + length, base - 1, -e)
+
+    def factorial(self, n: int, e: int = 1) -> None:
+        """Multiply by (n!)**e."""
+        self.interval(1, n, e)
+
+    def superfactorial(self, n: int, e: int = 1) -> None:
+        """Multiply by (0! 1! ... n!)**e, in which k occurs n+1-k times;
+        empty for n < 1."""
+        exps = self._exps
+        exps.extend([0] * (n + 1 - len(exps)))
+        for k in range(2, n + 1):
+            exps[k] += e * (n + 1 - k)
+
+    def value(self, cofactor: int = 1, what: str = "product") -> ExactInt:
+        """The recorded number times ``cofactor``, which may be any int.
+        Raises ``ArithmeticError`` if the result is not an integer."""
+        exps = self._exps
+        top = len(exps) - 1
+        numerator, denominator = [cofactor], []
+        sieve = bytearray([1]) * (top + 1)
+        for p in range(2, top + 1):
+            if not sieve[p]:
+                continue
+            sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+            e, q = 0, p
+            while q <= top:  # Legendre: k holds one p per power q of p dividing it
+                e += sum(exps[q::q])
+                q *= p
+            if e:
+                (numerator if e > 0 else denominator).append(p ** abs(e))
+        quotient, remainder = divmod(_product(numerator), _product(denominator))
+        if remainder:
+            raise ArithmeticError(f"{what} evaluated to a non-integer")
+        return quotient
+
+
+def _product(factors: list[int]) -> ExactInt:
+    """Product by a balanced tree, so the large multiplications pair
+    operands of similar size."""
+    while len(factors) > 1:
+        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[len(paired) * 2:]
+    return factors[0] if factors else 1
+
+
 def factorial(n: int) -> ExactInt:
     """n! for n >= 0."""
     if n < 0:
@@ -24,14 +100,13 @@ def factorial(n: int) -> ExactInt:
     return math.factorial(n)
 
 
-@lru_cache(maxsize=None)
 def superfactorial(n: int) -> ExactInt:
     """Product of k! for k = 0..n (inclusive), so superfactorial(0) == 1."""
     if n < 0:
         raise ValueError(f"superfactorial requires n >= 0, got {n}")
-    if n == 0:
-        return 1
-    return superfactorial(n - 1) * factorial(n)
+    x = Exponents()
+    x.superfactorial(n)
+    return x.value()
 
 
 def pochhammer(base: int, length: int) -> ExactInt:

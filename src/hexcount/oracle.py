@@ -44,7 +44,12 @@ class Budget:
     def __init__(self, limit: int | None = None):
         if limit is None:
             raw = os.environ.get(BUDGET_ENV_VAR)
-            limit = int(raw) if raw else DEFAULT_BUDGET
+            try:
+                limit = int(raw) if raw else DEFAULT_BUDGET
+            except ValueError:
+                raise ValueError(
+                    f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}"
+                ) from None
         if limit <= 0:
             raise ValueError(f"budget must be positive, got {limit}")
         self.limit = limit

@@ -1,4 +1,5 @@
 import json
+import sys
 
 from hexcount.cli import (
     EXIT_BUDGET,
@@ -10,6 +11,7 @@ from hexcount.cli import (
     run_identities,
     run_verify,
 )
+from hexcount.closedform import count_theorem1
 
 
 def run(capsys, *argv):
@@ -38,6 +40,46 @@ def test_count_json_counts_are_strings(capsys):
         "formula": "35", "det": "35", "brute": "35", "brute-pp": "35"
     }
     assert all(isinstance(v, str) for v in values.values())
+
+
+def test_count_prints_counts_past_the_int_str_digit_limit(capsys):
+    sides = ("120", "120", "120", "61", "61", "61")
+    expected = count_theorem1(tuple(map(int, sides)))
+    limit = sys.get_int_max_str_digits()
+    code, text, err = run(capsys, "count", *sides, "--methods", "formula")
+    assert code == EXIT_OK
+    code, out, err = run(
+        capsys, "count", *sides, "--methods", "formula", "--json"
+    )
+    assert code == EXIT_OK
+    assert sys.get_int_max_str_digits() == limit  # the process-wide limit stays
+    (result,) = json.loads(out)["results"]
+    assert len(result["value"]) > limit
+    assert result["value"] in text
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(result["value"]) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_formula_on_sides_past_the_recursion_limit(capsys):
+    code, out, err = run(
+        capsys, "count", "250", "250", "250", "126", "126", "126",
+        "--methods", "formula",
+    )
+    assert code == EXIT_OK
+    assert "agree: yes" in out
+
+
+def test_malformed_budget_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HEXCOUNT_BUDGET", "abc")
+    code, out, err = run(
+        capsys, "count", "1", "1", "1", "1", "1", "1", "--methods", "brute"
+    )
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert "HEXCOUNT_BUDGET" in err
 
 
 def test_count_rejects_bad_position(capsys):

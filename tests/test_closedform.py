@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +64,27 @@ def test_count_matches_determinant(params):
     assert count_theorem1(params) == det_elimination(build_matrix_M(*params))
 
 
+def _wide_params(seed=20, count=20):
+    """A fixed set of tuples with sides up to 20; every fourth has a > b+c,
+    where the interior minors of M vanish."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        if k % 4 == 3:
+            b, c = rng.randint(0, 9), rng.randint(0, 9)
+            a = rng.randint(b + c + 1, 20)
+        else:
+            a, b, c = (rng.randint(0, 20) for _ in range(3))
+        out.append((a, b, c, rng.randint(1, a + 2), rng.randint(1, b + 2),
+                    rng.randint(1, c + 2)))
+    return out
+
+
+@pytest.mark.parametrize("params", _wide_params())
+def test_count_matches_determinant_on_wide_sides(params):
+    assert count_theorem1(params) == det_elimination(build_matrix_M(*params))
+
+
 @given(params_strategy(max_side=2))
 @settings(max_examples=80)
 def test_count_cyclic_symmetry(params):
@@ -77,6 +100,11 @@ def test_propp_values():
     assert count_propp(3) == 55031753041200000000
     with pytest.raises(ValueError):
         count_propp(-1)
+
+
+def test_propp_matches_general_count_at_large_size():
+    # sides 200: superfactorials of up to 602, megabit numbers if multiplied out
+    assert count_propp(100) == count_theorem1((200,) * 3 + (101,) * 3)
 
 
 def test_macmahon_values():

@@ -3,7 +3,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hexcount.exact import binomial, factorial, pochhammer, superfactorial
+from hexcount.exact import (
+    Exponents,
+    binomial,
+    factorial,
+    pochhammer,
+    superfactorial,
+)
 
 
 def test_factorial_known_values():
@@ -28,6 +34,51 @@ def test_superfactorial_known_values():
 @given(st.integers(min_value=1, max_value=40))
 def test_superfactorial_recurrence(n):
     assert superfactorial(n) == superfactorial(n - 1) * factorial(n)
+
+
+def test_superfactorial_needs_no_recursion():
+    n = 2000
+    value = superfactorial(n)
+    modulus = 2**61 - 1
+    expected = 1
+    running = 1
+    for k in range(1, n + 1):
+        running = running * k % modulus
+        expected = expected * running % modulus
+    assert value % modulus == expected
+    # v_2(k!) = k - popcount(k), summed over k
+    two_adic = (value & -value).bit_length() - 1
+    assert two_adic == sum(k - bin(k).count("1") for k in range(n + 1))
+
+
+def test_exponents_match_direct_products():
+    x = Exponents()
+    x.factorial(7)
+    x.superfactorial(4, 2)
+    x.rising(3, 4, -1)
+    x.rising(9, -2)
+    x.interval(10, 11, 3)
+    expected = factorial(7) * superfactorial(4) ** 2 * 110**3
+    assert expected % (3 * 4 * 5 * 6 * 8 * 7) == 0
+    assert x.value(-11) == -11 * expected // (3 * 4 * 5 * 6 * 8 * 7)
+
+
+def test_exponents_reject_a_denominator_that_does_not_divide():
+    x = Exponents()
+    x.factorial(3, -1)
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        x.value(5)
+    assert x.value(12) == 2
+
+
+def test_exponents_reject_nonpositive_factors():
+    x = Exponents()
+    with pytest.raises(ValueError):
+        x.rising(0, 3)
+    with pytest.raises(ValueError):
+        x.interval(-1, 2)
+    x.rising(-4, 0)  # empty, so no factor is recorded
+    assert x.value() == 1
 
 
 def test_pochhammer_basics():
