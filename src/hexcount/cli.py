@@ -10,14 +10,16 @@ Subcommands:
 * ``identities`` run the determinant/polynomial identity checks
 * ``render``     write an SVG of a tiling (or the bare region)
 
-Exit codes: 0 all methods agree, 1 disagreement, 2 usage error,
-3 enumeration budget exceeded.  All counts print as decimal strings
+Exit codes: 0 all methods agree, 1 disagreement, 2 usage error
+(including an output file that cannot be written), 3 enumeration
+budget exceeded.  All counts print as decimal strings
 (also in ``--json`` output) since they grow past any fixed-width type.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -416,8 +418,11 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _add_params(sub: argparse.ArgumentParser) -> None:
@@ -433,7 +438,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "(default: HEXCOUNT_BUDGET or 10^8)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs ten times as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="hexcount",
         description="Count rhombus tilings of a hexagon with three fixed "

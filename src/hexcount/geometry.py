@@ -13,6 +13,11 @@ partner of D(u, v) is U(u+1, v), U(u, v), or U(u, v+1); in the rendered
 picture the three cases are a flat rhombus, one leaning up to the
 right, and one leaning down to the right.
 
+Cells and tiles are tuples, (u, v, orientation) and (down, up), so they
+sort and hash as tuples do.  Each is validated when it is constructed:
+a cell's orientation is 'up' or 'down', and a tile's cells are an
+adjacent down/up pair.
+
 Two regions matter here.  The working region is a hexagon with side
 lengths a, c+3, b, a+3, c, b+3 (clockwise from the top side) minus one
 up cell on each of the three long sides; the removed cells sit at
@@ -30,10 +35,11 @@ Tilings of the full hexagon are read off as plane partitions in the
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise
-from typing import Callable, Sequence
+from itertools import chain, pairwise
+from typing import Iterable, NamedTuple, Sequence
 
 from .closedform import HexagonParams, _as_params
 from .lgv import LatticePoint, build_point_configuration
@@ -47,18 +53,22 @@ RISING = "rising"
 FALLING = "falling"
 
 
-@dataclass(frozen=True, order=True)
-class TriCell:
-    """One unit triangle of the lattice."""
-
+class _CellFields(NamedTuple):
     u: int
     v: int
     orientation: str
 
-    def __post_init__(self) -> None:
-        if self.orientation not in (UP, DOWN):
+
+class TriCell(_CellFields):
+    """One unit triangle of the lattice."""
+
+    __slots__ = ()
+
+    def __new__(cls, u: int, v: int, orientation: str) -> TriCell:
+        if orientation not in (UP, DOWN):
             raise ValueError(f"orientation must be 'up' or 'down', "
-                             f"got {self.orientation!r}")
+                             f"got {orientation!r}")
+        return tuple.__new__(cls, (u, v, orientation))
 
     def vertices(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
         u, v = self.u, self.v
@@ -72,19 +82,22 @@ class TriCell:
 _PARTNER_OFFSETS = {(1, 0): FLAT, (0, 0): RISING, (0, 1): FALLING}
 
 
-@dataclass(frozen=True, order=True)
-class Tile:
-    """A rhombus: one down cell plus an adjacent up cell."""
-
+class _TileFields(NamedTuple):
     down: TriCell
     up: TriCell
 
-    def __post_init__(self) -> None:
-        if self.down.orientation != DOWN or self.up.orientation != UP:
+
+class Tile(_TileFields):
+    """A rhombus: one down cell plus an adjacent up cell."""
+
+    __slots__ = ()
+
+    def __new__(cls, down: TriCell, up: TriCell) -> Tile:
+        if down.orientation != DOWN or up.orientation != UP:
             raise ValueError("a tile pairs one down cell with one up cell")
-        offset = (self.up.u - self.down.u, self.up.v - self.down.v)
-        if offset not in _PARTNER_OFFSETS:
-            raise ValueError(f"cells {self.down} and {self.up} are not adjacent")
+        if (up.u - down.u, up.v - down.v) not in _PARTNER_OFFSETS:
+            raise ValueError(f"cells {down} and {up} are not adjacent")
+        return tuple.__new__(cls, (down, up))
 
     @property
     def lean(self) -> str:
@@ -108,25 +121,6 @@ class Region:
         if self.kind not in ("notched", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
 
-    @property
-    def sorted_cells(self) -> tuple[TriCell, ...]:
-        return tuple(sorted(self.cells))
-
-
-def _cells_in_halfplanes(
-    u_range: range,
-    v_range: range,
-    inside: Callable[[LatticePoint], bool],
-) -> set[TriCell]:
-    cells = set()
-    for u in u_range:
-        for v in v_range:
-            for orientation in (UP, DOWN):
-                cell = TriCell(u, v, orientation)
-                if all(inside(p) for p in cell.vertices()):
-                    cells.add(cell)
-    return cells
-
 
 def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
     """The three removed up cells, in the order (t side, s side, r side).
@@ -144,47 +138,38 @@ def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
 
 
 @lru_cache(maxsize=None)
-def _build_region_cached(p: HexagonParams) -> Region:
+def _build_region_cached(p: HexagonParams, kind: str) -> Region:
+    # The cells whose vertices satisfy -1 <= x <= a+b+2, -b-c-3 <= y <= 0
+    # and -c-4 <= x+y <= a-1, minus the notches.  The full hexagon reaches
+    # one lattice step further on the lower bounds of x and y and on the
+    # upper bound of x+y, and keeps the notches.
     a, b, c = p.a, p.b, p.c
-
-    def inside(pt: LatticePoint) -> bool:
-        return (-1 <= pt.x <= a + b + 2
-                and -b - c - 3 <= pt.y <= 0
-                and -c - 4 <= pt.x + pt.y <= a - 1)
-
-    cells = _cells_in_halfplanes(
-        range(-1, a + b + 2), range(-b - c - 3, 0), inside
-    )
-    for cell in notch_cells(p):
-        if cell not in cells:
-            raise AssertionError(f"notch cell {cell} not inside the hexagon")
-        cells.remove(cell)
-    return Region("notched", p, frozenset(cells))
-
-
-@lru_cache(maxsize=None)
-def _build_full_region_cached(p: HexagonParams) -> Region:
-    a, b, c = p.a, p.b, p.c
-
-    def inside(pt: LatticePoint) -> bool:
-        return (-2 <= pt.x <= a + b + 2
-                and -b - c - 4 <= pt.y <= 0
-                and -c - 4 <= pt.x + pt.y <= a)
-
-    cells = _cells_in_halfplanes(
-        range(-2, a + b + 2), range(-b - c - 4, 0), inside
-    )
-    return Region("full", p, frozenset(cells))
+    step = 1 if kind == "full" else 0
+    x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
+    cells = {
+        cell
+        for u in range(x_lo, a + b + 2)
+        for v in range(y_lo, 0)
+        for cell in (TriCell(u, v, UP), TriCell(u, v, DOWN))
+        if all(x_lo <= x <= a + b + 2 and y_lo <= y <= 0
+               and -c - 4 <= x + y <= sum_hi for x, y in cell.vertices())
+    }
+    if kind == "notched":
+        for cell in notch_cells(p):
+            if cell not in cells:
+                raise AssertionError(f"notch cell {cell} not inside the hexagon")
+            cells.remove(cell)
+    return Region(kind, p, frozenset(cells))
 
 
 def build_region(p: HexagonParams | Sequence[int]) -> Region:
     """The working region: the notched hexagon that the path families tile."""
-    return _build_region_cached(_as_params(p))
+    return _build_region_cached(_as_params(p), "notched")
 
 
 def build_full_region(p: HexagonParams | Sequence[int]) -> Region:
     """The full a+2, c+2, b+2, a+2, c+2, b+2 hexagon."""
-    return _build_full_region_cached(_as_params(p))
+    return _build_region_cached(_as_params(p), "full")
 
 
 @dataclass(frozen=True)
@@ -198,18 +183,16 @@ class Tiling:
     def __post_init__(self) -> None:
         if list(self.tiles) != sorted(self.tiles):
             raise ValueError("tiles must be listed in sorted order")
-        covered: set[TriCell] = set()
-        for tile in self.tiles:
-            for cell in tile.cells():
-                if cell in covered:
-                    raise ValueError(f"cell {cell} covered twice")
-                covered.add(cell)
-        if covered != self.region.cells:
-            extra = covered - self.region.cells
-            missing = self.region.cells - covered
+        cells = self.region.cells
+        covered = set(chain.from_iterable(self.tiles))
+        if covered != cells or 2 * len(self.tiles) != len(cells):
+            twice = [cell for cell, k in
+                     Counter(chain.from_iterable(self.tiles)).items() if k > 1]
             raise ValueError(
                 f"tiles do not partition the region "
-                f"(extra {sorted(extra)[:3]}, missing {sorted(missing)[:3]})"
+                f"(extra {sorted(covered - cells)[:3]}, "
+                f"missing {sorted(cells - covered)[:3]}, "
+                f"covered twice {sorted(twice)[:3]})"
             )
 
 
@@ -252,48 +235,40 @@ def paths_to_tiling(family: PathFamily) -> Tiling:
     return Tiling(region, tuple(sorted(tiles)))
 
 
-def _trace_path(
-    start: LatticePoint,
-    end: LatticePoint,
-    c: int,
-    by_down_cell: dict[TriCell, Tile],
-    cells: frozenset[TriCell],
-) -> MonotonePath:
-    pos = start
-    vertices = [pos]
-    while True:
-        down = _entry_cell(pos, c)
-        if down not in cells:
-            break
-        lean = by_down_cell[down].lean
-        if lean == FLAT:
-            pos = LatticePoint(pos.x + 1, pos.y)
-        elif lean == RISING:
-            pos = LatticePoint(pos.x, pos.y - 1)
-        else:
-            raise ValueError(f"falling tile blocks the path at {pos}")
-        vertices.append(pos)
-    if pos != end:
-        raise ValueError(f"path from {start} ends at {pos}, expected {end}")
-    return MonotonePath(tuple(vertices))
-
-
-def _down_cell_index(tiling: Tiling) -> dict[TriCell, Tile]:
-    return {tile.down: tile for tile in tiling.tiles}
+def _trace_paths(
+    tiling: Tiling, endpoints: Iterable[tuple[LatticePoint, LatticePoint]]
+) -> list[MonotonePath]:
+    """Follow one path per (start, end) pair across the tiling: a flat
+    tile is a right step, a rising tile a down step, and a path stops
+    where it leaves the region."""
+    c = tiling.region.params.c
+    cells = tiling.region.cells
+    by_down_cell = {tile.down: tile for tile in tiling.tiles}
+    paths = []
+    for start, end in endpoints:
+        pos = start
+        vertices = [pos]
+        while (down := _entry_cell(pos, c)) in cells:
+            lean = by_down_cell[down].lean
+            if lean == FLAT:
+                pos = LatticePoint(pos.x + 1, pos.y)
+            elif lean == RISING:
+                pos = LatticePoint(pos.x, pos.y - 1)
+            else:
+                raise ValueError(f"falling tile blocks the path at {pos}")
+            vertices.append(pos)
+        if pos != end:
+            raise ValueError(f"path from {start} ends at {pos}, expected {end}")
+        paths.append(MonotonePath(tuple(vertices)))
+    return paths
 
 
 def tiling_to_paths(tiling: Tiling) -> PathFamily:
     """Inverse of paths_to_tiling.  Requires a working-region tiling."""
     if tiling.region.kind != "notched":
         raise ValueError("path extraction needs a working-region tiling")
-    p = tiling.region.params
-    cfg = build_point_configuration(*p.astuple())
-    index = _down_cell_index(tiling)
-    paths = tuple(
-        _trace_path(cfg.starts[i], cfg.ends[i], p.c, index, tiling.region.cells)
-        for i in range(cfg.size)
-    )
-    return PathFamily(cfg, paths)
+    cfg = build_point_configuration(*tiling.region.params.astuple())
+    return PathFamily(cfg, tuple(_trace_paths(tiling, zip(cfg.starts, cfg.ends))))
 
 
 def extend_to_full_hexagon(tiling: Tiling) -> Tiling:
@@ -352,23 +327,16 @@ def tiling_to_plane_partition(tiling: Tiling) -> PlanePartition:
                          "tiling; see extend_to_full_hexagon")
     p = tiling.region.params
     a, b, c = p.a, p.b, p.c
-    index = _down_cell_index(tiling)
-    rows: list[tuple[int, ...]] = [()] * (a + 2)
-    for k in range(a + 2):
-        path = _trace_path(
-            LatticePoint(k - 1, c + k + 2),
-            LatticePoint(b + 1 + k, k),
-            c,
-            index,
-            tiling.region.cells,
-        )
-        heights = tuple(
-            pos.y - k
-            for pos, nxt in pairwise(path.vertices)
-            if nxt.x == pos.x + 1
-        )
-        rows[a + 1 - k] = heights
-    return PlanePartition(tuple(rows))
+    paths = _trace_paths(tiling, (
+        (LatticePoint(k - 1, c + k + 2), LatticePoint(b + 1 + k, k))
+        for k in range(a + 2)
+    ))
+    rows = [
+        tuple(pos.y - k for pos, nxt in pairwise(path.vertices)
+              if nxt.x == pos.x + 1)
+        for k, path in enumerate(paths)
+    ]
+    return PlanePartition(tuple(reversed(rows)))
 
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -397,7 +365,7 @@ def render_svg(target: Tiling | Region) -> str:
     else:
         region = target
         polygons = [
-            (cell.vertices(), _FILL[FALLING]) for cell in region.sorted_cells
+            (cell.vertices(), _FILL[FALLING]) for cell in sorted(region.cells)
         ]
     points = [_render_xy(p) for cell in region.cells for p in cell.vertices()]
     xs = [x for x, _ in points]

@@ -307,7 +307,12 @@ def det_condensation(
         memo[key] = value
         return value
 
-    return block(0, 0, n)
+    try:
+        return block(0, 0, n)
+    finally:
+        # `block` refers to itself, so without this only the cyclic
+        # garbage collector would free the memo's O(n^3) big integers
+        memo.clear()
 
 
 def verify_desnanot_jacobi(matrix: CountMatrix | Sequence[Sequence[int]]) -> bool:

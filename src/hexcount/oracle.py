@@ -249,6 +249,34 @@ def _descending_rows(
     return results
 
 
+def _fill_rows(height: int, width: int, first_rows: Sequence[tuple[int, ...]],
+               row_ok: Callable[[int, tuple[int, ...]], bool], tracker: Budget,
+               emit: Callable[[PlanePartition], None] | None) -> ExactInt:
+    """Count (and optionally emit) the plane partitions with one of
+    first_rows on top, each later row in lexicographically decreasing
+    order under the row above, and every row i passing row_ok(i, row)."""
+    count = 0
+    stack: list[tuple[int, ...]] = []
+
+    def fill(i: int, row: tuple[int, ...]) -> None:
+        nonlocal count
+        if not row_ok(i, row):
+            return
+        stack.append(row)
+        if i + 1 == height:
+            count += 1
+            if emit is not None:
+                emit(PlanePartition(tuple(stack)))
+        else:
+            for below in _descending_rows(width, row, tracker):
+                fill(i + 1, below)
+        stack.pop()
+
+    for first in first_rows:
+        fill(0, first)
+    return count
+
+
 def enumerate_plane_partitions_box(
     a: int,
     b: int,
@@ -267,23 +295,8 @@ def enumerate_plane_partitions_box(
         if emit is not None:
             emit(PlanePartition(tuple(() for _ in range(a))))
         return 1
-    count = 0
-    stack: list[tuple[int, ...]] = []
-
-    def fill(i: int, cap: Sequence[int]) -> None:
-        nonlocal count
-        if i == a:
-            count += 1
-            if emit is not None:
-                emit(PlanePartition(tuple(stack)))
-            return
-        for row in _descending_rows(b, cap, tracker):
-            stack.append(row)
-            fill(i + 1, row)
-            stack.pop()
-
-    fill(0, [c] * b)
-    return count
+    return _fill_rows(a, b, _descending_rows(b, [c] * b, tracker),
+                      lambda i, row: True, tracker, emit)
 
 
 def enumerate_constrained_pp(
@@ -307,8 +320,6 @@ def enumerate_constrained_pp(
     tracker = _resolve_budget(budget)
     height, width, depth = a + 2, b + 2, c + 2
     first_zero_row = height - r  # rows with index >= this end in 0
-    count = 0
-    stack: list[tuple[int, ...]] = []
 
     def row_ok(i: int, row: Sequence[int]) -> bool:
         if i < first_zero_row:
@@ -320,29 +331,11 @@ def enumerate_constrained_pp(
             return False
         return True
 
-    def fill(i: int, cap: Sequence[int]) -> None:
-        nonlocal count
-        if i == height:
-            count += 1
-            if emit is not None:
-                emit(PlanePartition(tuple(stack)))
-            return
-        for row in _descending_rows(width, cap, tracker):
-            if not row_ok(i, row):
-                continue
-            stack.append(row)
-            fill(i + 1, row)
-            stack.pop()
-
     # First row: a forced prefix of b+2-s maxima, then strictly below
     # the maximum.  Generate the free suffix only.
     maxima = width - s
-    for suffix in _descending_rows(width - maxima, [depth - 1] * (width - maxima),
-                                   tracker):
-        first = (depth,) * maxima + suffix
-        if not row_ok(0, first):
-            continue
-        stack.append(first)
-        fill(1, first)
-        stack.pop()
-    return count
+    first_rows = [
+        (depth,) * maxima + suffix
+        for suffix in _descending_rows(s, [depth - 1] * s, tracker)
+    ]
+    return _fill_rows(height, width, first_rows, row_ok, tracker, emit)

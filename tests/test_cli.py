@@ -240,6 +240,28 @@ def test_render_index_out_of_range(tmp_path, capsys):
     assert "only 1 tilings exist" in err
 
 
+
+def test_render_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    for extra in ((), ("--region-only",)):
+        code, out, err = run(
+            capsys, "render", "1", "1", "1", "1", "1", "1",
+            "--out", str(target), *extra,
+        )
+        assert code == EXIT_USAGE
+        assert len(err.splitlines()) == 1
+        assert str(target) in err
+        assert not target.exists()
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    argv = ["count", "1", "1", "1", "1", "1", "1", "--methods", "brute"]
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert code == EXIT_BUDGET
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert "35" in out
+
 def test_report_agreement_logic():
     report = RunReport("count", {"a": 0})
     report.results.append(MethodResult("formula", 5, 0.0))

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -243,6 +244,23 @@ def test_render_is_deterministic():
     svg2 = render_svg(paths_to_tiling(tiling_to_paths(paths_to_tiling(family))))
     assert svg1 == svg2
 
+
+
+def test_render_bytes_are_pinned():
+    # sha256 digests of the renderer's output on the worked example, for
+    # the working-region tiling, its full-hexagon extension and the bare
+    # working region; any change to coordinates, order or styling shows
+    tiling = paths_to_tiling(worked_example_family())
+    digests = [
+        hashlib.sha256(render_svg(target).encode()).hexdigest()
+        for target in (tiling, extend_to_full_hexagon(tiling),
+                       build_region((2, 1, 1, 2, 2, 1)))
+    ]
+    assert digests == [
+        "63ad7c34ed26541faa9e2ba1da9152d34d67f50a55985f14b777477ece804ff0",
+        "8015bf295702c6f10b78ed9d9fcd5b4818ba689f5f3b1e09a4254e912555f80b",
+        "53db1237a1d0da0b6f086d7568715ee8bd52ed0cf4357e9d43c273961da1e5f0",
+    ]
 
 def test_render_vertices_on_half_grid():
     # up to the 0.5 margin, coordinates are multiples of sqrt(3)/2 and 1/2

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,22 @@ def test_condensation_fallback_on_zero_interior():
     assert det_condensation(rows, stats) == det_leibniz(rows)
     assert stats.fallbacks > 0
 
+
+
+def test_condensation_frees_its_memo_on_return():
+    # the memo of a 32 x 32 matrix holds about 2 MB of block determinants;
+    # it must go when the call returns, not when the cyclic collector runs
+    matrix = build_matrix_M(30, 20, 20, 10, 10, 10)
+    det_condensation(matrix)  # first-call allocations are not the memo's
+    gc.disable()
+    tracemalloc.start()
+    try:
+        det_condensation(matrix)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 100_000, held
 
 def test_condensation_no_fallback_on_generic_matrix():
     rows = [[5, 1, 1], [1, 6, 1], [1, 1, 7]]
