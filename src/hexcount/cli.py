@@ -12,8 +12,10 @@ Subcommands:
 
 Exit codes: 0 all methods agree, 1 disagreement, 2 usage error
 (including an output file that cannot be written), 3 enumeration
-budget exceeded.  All counts print as decimal strings
-(also in ``--json`` output) since they grow past any fixed-width type.
+budget exceeded, 4 internal error (any other exception, reported as
+one stderr line naming the subcommand and the exception type).  All
+counts print as decimal strings (also in ``--json`` output) since they
+grow past any fixed-width type.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _decimal(value: ExactInt) -> str:
@@ -512,6 +515,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:  # exit 1 is reserved for a disagreement
+        detail = str(exc).partition("\n")[0]
+        print(f"error: internal error in {args.command}: "
+              f"{type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,19 +11,25 @@ and provides two independent exact determinant algorithms:
   All intermediate values stay integers; the quotient at each step is
   exact by construction.
 
-* ``det_condensation``: Dodgson condensation on contiguous blocks with
-  memoisation, i.e. the recurrence
+* ``det_condensation``: Dodgson condensation on contiguous blocks,
+  bottom-up by block size (Dodgson 1866; Robbins and Rumsey 1986), by
+  the recurrence
 
       det(A) * det(interior) = det(NW) * det(SE) - det(NE) * det(SW)
 
   where the four corner blocks drop one leading/trailing row and
-  column.  When an interior determinant vanishes the division is
-  impossible, so that block falls back to elimination; the fallback
-  count is reported through ``CondensationStats``.
+  column.  Only the layers of the two previous block sizes are kept,
+  O(n^2) integers, and there is no recursion.  When an interior
+  determinant vanishes the division is impossible.  A block with a row
+  or column that is zero inside it is then 0 (the zero-line rule, which
+  has settled every zero interior met on the path matrices M); any
+  other such block falls back to elimination.  ``CondensationStats``
+  reports the blocks evaluated and the fallbacks to elimination.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -256,7 +262,8 @@ def det_elimination(matrix: CountMatrix | Sequence[Sequence[int]]) -> ExactInt:
 
 @dataclass
 class CondensationStats:
-    """Instrumentation for det_condensation."""
+    """Instrumentation for det_condensation: the blocks it evaluated, and
+    how many of them it computed by elimination."""
 
     fallbacks: int = 0
     blocks: int = 0
@@ -266,53 +273,51 @@ def det_condensation(
     matrix: CountMatrix | Sequence[Sequence[int]],
     stats: CondensationStats | None = None,
 ) -> ExactInt:
-    """Exact determinant by memoised condensation on contiguous blocks.
+    """Exact determinant by condensation, bottom-up by block size.
 
-    Each block determinant of order >= 2 is computed from the four
-    blocks one size smaller and the interior block two sizes smaller.
-    A zero interior makes the division undefined; that block (and only
-    that block) is recomputed by elimination, counted in ``stats``.
+    Layer k holds the determinants of all contiguous k x k blocks, each
+    (NW * SE - NE * SW) / interior from layers k-1 and k-2.  A block with
+    a zero interior is 0 if it has a row or column that is zero inside it
+    (the zero-line rule), and is computed by elimination otherwise.
+    ``stats`` counts the blocks evaluated and those eliminations.
     """
     rows = _as_rows(matrix)
     n = len(rows)
-    memo: dict[tuple[int, int, int], ExactInt] = {}
-
-    def block(i: int, j: int, size: int) -> ExactInt:
-        if size == 0:
-            return 1
-        key = (i, j, size)
-        if key in memo:
-            return memo[key]
-        if stats is not None:
-            stats.blocks += 1
-        if size == 1:
-            value = rows[i][j]
-        else:
-            interior = block(i + 1, j + 1, size - 2)
-            if interior == 0:
-                if stats is not None:
-                    stats.fallbacks += 1
-                value = det_elimination(
-                    [row[j : j + size] for row in rows[i : i + size]]
-                )
-            else:
-                nw = block(i, j, size - 1)
-                se = block(i + 1, j + 1, size - 1)
-                ne = block(i, j + 1, size - 1)
-                sw = block(i + 1, j, size - 1)
-                quotient, remainder = divmod(nw * se - ne * sw, interior)
-                if remainder:
-                    raise ArithmeticError("condensation division is not exact")
-                value = quotient
-        memo[key] = value
-        return value
-
-    try:
-        return block(0, 0, n)
-    finally:
-        # `block` refers to itself, so without this only the cyclic
-        # garbage collector would free the memo's O(n^3) big integers
-        memo.clear()
+    inner, outer = [[1] * (n + 1)] * (n + 1), rows  # block sizes k-2, k-1
+    nz = None  # nonzeros in each row, then each column, as prefix counts
+    blocks, fallbacks = n * n, 0
+    for k in range(2, n + 1):
+        size = n - k + 1
+        blocks += size * size
+        layer = []
+        for i in range(size):
+            up, down, mid = outer[i], outer[i + 1], inner[i + 1]
+            values = []
+            for j in range(size):
+                if mid[j + 1]:
+                    value, remainder = divmod(
+                        up[j] * down[j + 1] - up[j + 1] * down[j], mid[j + 1]
+                    )
+                    if remainder:
+                        raise ArithmeticError("condensation division is not exact")
+                else:
+                    if nz is None:  # built on the first zero interior only
+                        nz = [list(itertools.accumulate(map(bool, line), initial=0))
+                              for line in (*rows, *zip(*rows))]
+                    if any(nz[r][j] == nz[r][j + k] for r in range(i, i + k)) or any(
+                        nz[n + c][i] == nz[n + c][i + k] for c in range(j, j + k)
+                    ):
+                        value = 0
+                    else:
+                        fallbacks += 1
+                        value = det_elimination([r[j : j + k] for r in rows[i : i + k]])
+                values.append(value)
+            layer.append(values)
+        inner, outer = outer, layer
+    if stats is not None:
+        stats.blocks += blocks
+        stats.fallbacks += fallbacks
+    return outer[0][0] if n else 1
 
 
 def verify_desnanot_jacobi(matrix: CountMatrix | Sequence[Sequence[int]]) -> bool:

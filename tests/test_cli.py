@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import hexcount
+from hexcount import cli
 from hexcount.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     RunReport,
@@ -252,6 +258,35 @@ def test_render_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
         assert len(err.splitlines()) == 1
         assert str(target) in err
         assert not target.exists()
+
+
+def test_render_past_the_recursion_limit_is_an_internal_error(tmp_path):
+    # the recursive enumerator overflows the stack on sides 24; that must
+    # end in exit 4 and one stderr line, not a traceback with exit 1
+    src = str(Path(hexcount.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    target = tmp_path / "x.svg"
+    done = subprocess.run(
+        [sys.executable, "-m", "hexcount.cli", "render",
+         "24", "24", "24", "1", "1", "1", "--out", str(target)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == EXIT_INTERNAL
+    assert done.stderr.splitlines() == [done.stderr.strip()]
+    assert "render" in done.stderr and "RecursionError" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not target.exists()
+
+
+def test_unexpected_exception_is_exit_4(capsys, monkeypatch):
+    def broken(p, budget):
+        raise ZeroDivisionError("planted\nsecond line")
+
+    monkeypatch.setitem(cli.METHODS, "det", broken)
+    code, out, err = run(capsys, "count", "1", "1", "1", "1", "1", "1")
+    assert code == EXIT_INTERNAL
+    assert err == "error: internal error in count: ZeroDivisionError: planted\n"
 
 
 def test_main_keeps_no_state_between_calls(capsys):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -35,6 +36,15 @@ def det_leibniz(rows):
         total += term
     return total
 
+
+sparse_matrix = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 2, -5, 13)),
+                 min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -174,6 +184,64 @@ def test_condensation_fallback_on_zero_interior():
     assert det_condensation(rows, stats) == det_leibniz(rows)
     assert stats.fallbacks > 0
 
+
+@given(sparse_matrix)
+@settings(max_examples=300)
+def test_det_condensation_matches_elimination_on_sparse_matrices(rows):
+    # mostly zeros: many zero interiors, settled by the zero-line rule or
+    # by the elimination fallback, and both must stay exact
+    assert det_condensation(rows) == det_elimination(rows)
+
+
+def test_condensation_zero_line_needs_no_fallback():
+    # the 3x3 block has a zero interior and a zero row, so it is 0 outright
+    for rows in ([[1, 2, 3], [0, 0, 0], [4, 5, 6]],
+                 [[1, 0, 3], [4, 0, 5], [6, 0, 8]]):
+        stats = CondensationStats()
+        assert det_condensation(rows, stats) == 0
+        assert stats.fallbacks == 0
+        assert stats.blocks == 14
+
+
+def _path_matrix_params():
+    for a, b, c in itertools.product(range(4), repeat=3):
+        for r, s, t in itertools.product(
+            range(1, a + 3), range(1, b + 3), range(1, c + 3)
+        ):
+            yield a, b, c, r, s, t
+    rng = random.Random(20)
+    for k in range(21):
+        a = rng.randint(2, 40)
+        if k % 3 == 0:  # a > b + c: M has a band of zeros
+            b = rng.randint(0, a - 1)
+            c = rng.randint(0, a - 1 - b)
+        else:
+            b, c = rng.randint(0, 40), rng.randint(0, 40)
+        r, s, t = (rng.randint(1, side + 2) for side in (a, b, c))
+        yield a, b, c, r, s, t
+
+
+def test_condensation_on_path_matrices_needs_no_fallback():
+    for params in _path_matrix_params():
+        matrix = build_matrix_M(*params)
+        n = matrix.order
+        stats = CondensationStats()
+        assert det_condensation(matrix, stats) == det_elimination(matrix), params
+        assert stats.fallbacks == 0, params
+        assert stats.blocks == n * (n + 1) * (2 * n + 1) // 6, params
+
+
+def test_condensation_keeps_two_layers():
+    # a memo of all O(n^3) block determinants peaks at 6.7 MB here; two
+    # layers of O(n^2) of them stay well under 1.5 MB
+    matrix = build_matrix_M(48, 21, 35, 28, 3, 32)
+    tracemalloc.start()
+    try:
+        det_condensation(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000, peak
 
 
 def test_condensation_frees_its_memo_on_return():
