@@ -54,6 +54,7 @@ from .oracle import (
     BudgetExceededError,
     enumerate_constrained_pp,
     enumerate_path_families,
+    iter_path_families,
 )
 
 EXIT_OK = 0
@@ -137,19 +138,21 @@ DEFAULT_METHODS = "formula,det,det-condense"
 
 def _evaluate(report: RunReport, p: HexagonParams, methods: Sequence[str],
               budget: int | None) -> None:
+    """Run each method; one over budget is skipped, unless all are."""
+    skipped: list[BudgetExceededError] = []
     for name in methods:
         start = time.perf_counter()
         try:
             value = METHODS[name](p, budget)
             note = ""
         except BudgetExceededError as exc:
-            if len(methods) == 1:
-                raise
-            value = None
-            note = f"skipped: {exc}"
+            skipped.append(exc)
+            value, note = None, f"skipped: {exc}"
         report.results.append(
             MethodResult(name, value, time.perf_counter() - start, note)
         )
+    if len(skipped) == len(methods):
+        raise skipped[-1]
 
 
 def _parse_methods(raw: str) -> list[str]:
@@ -379,11 +382,6 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return EXIT_OK if summary["ok"] else EXIT_DISAGREE
 
 
-class _FoundFamily(Exception):
-    def __init__(self, family):
-        self.family = family
-
-
 def cmd_render(args: argparse.Namespace) -> int:
     try:
         p = HexagonParams(args.a, args.b, args.c, args.r, args.s, args.t)
@@ -397,27 +395,19 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.index < 0:
         raise _UsageError(f"--index must be >= 0, got {args.index}")
 
-    wanted = args.index
-    seen = 0
-
-    def grab(family) -> None:
-        nonlocal seen
-        if seen == wanted:
-            raise _FoundFamily(family)
-        seen += 1
-
-    try:
-        total = enumerate_path_families(p, emit=grab, budget=Budget(args.budget))
-    except _FoundFamily as found:
-        tiling = paths_to_tiling(found.family)
-        if args.full:
-            tiling = extend_to_full_hexagon(tiling)
-        _write(args.out, render_svg(tiling))
-        print(f"wrote {args.out} (tiling {wanted})")
-        return EXIT_OK
-    raise _UsageError(
-        f"--index {wanted} out of range: only {total} tilings exist"
-    )
+    total = 0
+    for total, family in enumerate(iter_path_families(p, args.budget), 1):
+        if total > args.index:
+            break
+    else:
+        raise _UsageError(f"--index {args.index} out of range: "
+                          f"only {total} tilings exist")
+    tiling = paths_to_tiling(family)
+    if args.full:
+        tiling = extend_to_full_hexagon(tiling)
+    _write(args.out, render_svg(tiling))
+    print(f"wrote {args.out} (tiling {args.index})")
+    return EXIT_OK
 
 
 def _write(path: str, text: str) -> None:

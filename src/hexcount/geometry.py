@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, pairwise
 from typing import Iterable, NamedTuple, Sequence
 
@@ -120,6 +120,12 @@ class Region:
     def __post_init__(self) -> None:
         if self.kind not in ("notched", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
+
+    @cached_property
+    def down_cells(self) -> tuple[TriCell, ...]:
+        """The region's down cells, sorted."""
+        return tuple(sorted(cell for cell in self.cells
+                            if cell.orientation == DOWN))
 
 
 def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
@@ -206,33 +212,21 @@ def paths_to_tiling(family: PathFamily) -> Tiling:
 
     Each path step lays one tile on the down cell it crosses: a right
     step pairs it with the up cell ahead (flat tile), a down step with
-    the up cell behind (rising tile).  Cells touched by no path are
-    paired into falling tiles.
+    the up cell behind (rising tile).  Every down cell crossed by no
+    path is paired with the up cell above it (falling tile).  Taking the
+    region's down cells in sorted order lists the tiles sorted.
     """
     cfg = family.config
-    params = HexagonParams(cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t)
-    region = build_region(params)
-    tiles = []
-    used: set[TriCell] = set()
+    region = build_region((cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t))
+    partner: dict[TriCell, TriCell] = {}
     for path in family.paths:
         for pos, nxt in pairwise(path.vertices):
-            down = _entry_cell(pos, params.c)
-            if nxt.x == pos.x + 1:
-                up = TriCell(pos.x, down.v, UP)
-            else:
-                up = TriCell(pos.x - 1, down.v, UP)
-            tiles.append(Tile(down, up))
-            used.add(down)
-            used.add(up)
-    leftover = region.cells - used
-    for cell in sorted(leftover):
-        if cell.orientation != DOWN:
-            continue
-        partner = TriCell(cell.u, cell.v + 1, UP)
-        if partner not in leftover:
-            raise ValueError(f"no untouched up cell above {cell}")
-        tiles.append(Tile(cell, partner))
-    return Tiling(region, tuple(sorted(tiles)))
+            # the up cell ahead of a right step, or behind a down step
+            down = _entry_cell(pos, cfg.c)
+            partner[down] = TriCell(nxt.x - 1, down.v, UP)
+    return Tiling(region, tuple(
+        Tile(down, partner.get(down) or TriCell(down.u, down.v + 1, UP))
+        for down in region.down_cells))
 
 
 def _trace_paths(

@@ -6,14 +6,16 @@ directly, the other enumerates plane partitions in a box, optionally
 restricted to the boundary pattern that encodes the three fixed border
 tiles.  Both are deterministic (fixed visit order) and budgeted: every
 search-tree node expansion spends one unit, and exceeding the budget
-raises rather than returning a partial count.
+raises rather than returning a partial count.  The path search runs on
+an explicit stack, so it has no depth limit: a family may have any
+number of vertices.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .closedform import HexagonParams, _as_params
 from .exact import ExactInt
@@ -47,10 +49,11 @@ class Budget:
             try:
                 limit = int(raw) if raw else DEFAULT_BUDGET
             except ValueError:
-                raise ValueError(
-                    f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}"
-                ) from None
-        if limit <= 0:
+                limit = 0
+            if limit <= 0:
+                raise ValueError(f"{BUDGET_ENV_VAR} must be a positive "
+                                 f"integer, got {raw!r}")
+        elif limit <= 0:
             raise ValueError(f"budget must be positive, got {limit}")
         self.limit = limit
         self.used = 0
@@ -65,10 +68,6 @@ def _resolve_budget(budget: int | Budget | None) -> Budget:
     if isinstance(budget, Budget):
         return budget
     return Budget(budget)
-
-
-RIGHT = LatticePoint(1, 0)
-DOWN = LatticePoint(0, -1)
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,54 @@ def parse_family_line(line: str, config: PointConfiguration) -> PathFamily:
     return PathFamily(config, tuple(paths))
 
 
+def _path_search(
+    p: HexagonParams | Sequence[int] | PointConfiguration,
+    budget: int | Budget | None,
+    build: bool,
+) -> Iterator[PathFamily | None]:
+    """Depth-first search on an explicit stack, with no depth limit; yields
+    each family, or None for each when ``build`` is false.  A stack entry
+    is (walk length before the vertex, path index, vertex), where the walk
+    holds the vertices of every path so far; popping one truncates the
+    walk, ``occupied`` and the finished paths back to it."""
+    config = p if isinstance(p, PointConfiguration) else (
+        build_point_configuration(*_as_params(p).astuple()))
+    tracker = _resolve_budget(budget)
+    starts, ends = config.starts, config.ends
+    walk: list[LatticePoint] = []
+    occupied: set[LatticePoint] = set()
+    first = [0] * config.size  # walk position where each path begins
+    paths: list[MonotonePath] = []
+    stack = [(0, 0, starts[0])]
+    while stack:
+        length, index, point = stack.pop()
+        if len(walk) > length:  # backtrack
+            occupied.difference_update(walk[length:])
+            del walk[length:], paths[index:]
+        tracker.spend()
+        walk.append(point)
+        occupied.add(point)
+        length += 1
+        target = ends[index]
+        if point != target:
+            x, y = point
+            # pushed first, so the right step is tried first
+            if y > target.y and (down := LatticePoint(x, y - 1)) not in occupied:
+                stack.append((length, index, down))
+            if x < target.x and (right := LatticePoint(x + 1, y)) not in occupied:
+                stack.append((length, index, right))
+            continue
+        # the endpoint stays occupied while the remaining paths are built
+        if build:
+            paths.append(MonotonePath(tuple(walk[first[index]:])))
+        index += 1
+        if index == config.size:
+            yield PathFamily(config, tuple(paths)) if build else None
+        elif starts[index] not in occupied:
+            first[index] = length
+            stack.append((length, index, starts[index]))
+
+
 def enumerate_path_families(
     p: HexagonParams | Sequence[int] | PointConfiguration,
     emit: Callable[[PathFamily], None] | None = None,
@@ -153,53 +200,19 @@ def enumerate_path_families(
     rectangle spanned by its endpoints, and no vertex may repeat across
     the family.
     """
-    if isinstance(p, PointConfiguration):
-        config = p
-    else:
-        params = _as_params(p)
-        config = build_point_configuration(*params.astuple())
-    tracker = _resolve_budget(budget)
-    n = config.size
-    occupied: set[LatticePoint] = set()
-    prefix: list[MonotonePath] = []
+    count = 0
+    for count, family in enumerate(_path_search(p, budget, emit is not None), 1):
+        if emit is not None:
+            emit(family)
+    return count
 
-    def extend(index: int, point: LatticePoint,
-               trail: list[LatticePoint]) -> ExactInt:
-        tracker.spend()
-        target = config.ends[index]
-        if point == target:
-            # endpoint stays occupied while the remaining paths are built
-            occupied.add(point)
-            if emit is not None:
-                prefix.append(MonotonePath(tuple(trail) + (point,)))
-            total = build_family(index + 1)
-            if emit is not None:
-                prefix.pop()
-            occupied.discard(point)
-            return total
-        total = 0
-        trail.append(point)
-        occupied.add(point)
-        for step in (RIGHT, DOWN):
-            nxt = LatticePoint(point.x + step.x, point.y + step.y)
-            if nxt.x > target.x or nxt.y < target.y or nxt in occupied:
-                continue
-            total += extend(index, nxt, trail)
-        occupied.discard(point)
-        trail.pop()
-        return total
 
-    def build_family(index: int) -> ExactInt:
-        if index == n:
-            if emit is not None:
-                emit(PathFamily(config, tuple(prefix)))
-            return 1
-        start = config.starts[index]
-        if start in occupied:
-            return 0
-        return extend(index, start, [])
-
-    return build_family(0)
+def iter_path_families(
+    p: HexagonParams | Sequence[int] | PointConfiguration,
+    budget: int | Budget | None = None,
+) -> Iterator[PathFamily]:
+    """The families of enumerate_path_families, in the same order, lazily."""
+    return _path_search(p, budget, True)
 
 
 @dataclass(frozen=True)

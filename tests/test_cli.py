@@ -79,13 +79,14 @@ def test_count_formula_on_sides_past_the_recursion_limit(capsys):
 
 
 def test_malformed_budget_variable_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("HEXCOUNT_BUDGET", "abc")
-    code, out, err = run(
-        capsys, "count", "1", "1", "1", "1", "1", "1", "--methods", "brute"
-    )
-    assert code == EXIT_USAGE
-    assert len(err.splitlines()) == 1
-    assert "HEXCOUNT_BUDGET" in err
+    for raw in ("abc", "0", "-5"):
+        monkeypatch.setenv("HEXCOUNT_BUDGET", raw)
+        code, out, err = run(
+            capsys, "count", "1", "1", "1", "1", "1", "1", "--methods", "brute"
+        )
+        assert code == EXIT_USAGE, raw
+        assert len(err.splitlines()) == 1
+        assert "HEXCOUNT_BUDGET" in err and repr(raw) in err
 
 
 def test_count_rejects_bad_position(capsys):
@@ -109,6 +110,16 @@ def test_count_budget_exhaustion_is_exit_3(capsys):
     )
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+def test_count_with_every_method_skipped_is_exit_3(capsys):
+    code, out, err = run(
+        capsys, "count", "2", "2", "2", "1", "1", "1",
+        "--methods", "brute,brute-pp", "--budget", "10",
+    )
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: enumeration exceeded the budget of 10 node expansions\n"
 
 
 def test_count_budget_skip_note_when_other_methods_remain(capsys):
@@ -260,9 +271,9 @@ def test_render_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
         assert not target.exists()
 
 
-def test_render_past_the_recursion_limit_is_an_internal_error(tmp_path):
-    # the recursive enumerator overflows the stack on sides 24; that must
-    # end in exit 4 and one stderr line, not a traceback with exit 1
+def test_render_has_no_depth_limit(tmp_path):
+    # the first sides-24 tiling has 1,324 path vertices, past the depth at
+    # which a recursive search would overflow the interpreter stack
     src = str(Path(hexcount.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -272,11 +283,9 @@ def test_render_past_the_recursion_limit_is_an_internal_error(tmp_path):
          "24", "24", "24", "1", "1", "1", "--out", str(target)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert done.returncode == EXIT_INTERNAL
-    assert done.stderr.splitlines() == [done.stderr.strip()]
-    assert "render" in done.stderr and "RecursionError" in done.stderr
-    assert "Traceback" not in done.stderr
-    assert not target.exists()
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stderr == ""
+    assert target.read_text().count("<polygon") == 1947
 
 
 def test_unexpected_exception_is_exit_4(capsys, monkeypatch):

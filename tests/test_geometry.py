@@ -23,7 +23,12 @@ from hexcount.geometry import (
     tiling_to_plane_partition,
 )
 from hexcount.lgv import LatticePoint, build_point_configuration
-from hexcount.oracle import MonotonePath, PathFamily, enumerate_path_families
+from hexcount.oracle import (
+    MonotonePath,
+    PathFamily,
+    enumerate_path_families,
+    iter_path_families,
+)
 
 
 def worked_example_family():
@@ -216,6 +221,14 @@ def test_round_trips_small(a, b, c, data):
 # ----------------------------------------------------------------- rendering
 
 COORD = re.compile(r"-?\d+\.\d{6},-?\d+\.\d{6}")
+
+
+def test_first_sides_24_family_round_trips():
+    family = next(iter_path_families((24, 24, 24, 1, 1, 1)))
+    assert sum(len(path.vertices) for path in family.paths) == 1324
+    tiling = paths_to_tiling(family)
+    assert len(tiling.tiles) == 1947
+    assert tiling_to_paths(tiling) == family
 
 
 def test_render_tiling_svg_shape():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -15,6 +16,7 @@ from hexcount.oracle import (
     enumerate_path_families,
     enumerate_plane_partitions_box,
     family_to_line,
+    iter_path_families,
     parse_family_line,
 )
 
@@ -139,6 +141,55 @@ def test_enumeration_order_is_fixed():
         (1, 1, 1, 1, 1, 1), emit=lambda f: again.append(family_to_line(f))
     )
     assert again == lines
+
+
+# count, Budget.used and family_to_line stream digest of the recursive
+# search that the explicit-stack loop replaced
+PINNED_STREAMS = {
+    (2, 1, 1, 2, 2, 1): (81, 637, "b28e5a772fc06241ecf3fb495b5ae3b9"
+                                  "a870da5d5fd5867b2a4118935242d5a8"),
+    (2, 2, 2, 2, 2, 2): (6272, 30840, "0f51f1ba0d1d13d190460cf5321658ed"
+                                      "8c28da29123991627409107d2c2f1ae2"),
+}
+
+
+@pytest.mark.parametrize("params", list(PINNED_STREAMS))
+def test_emission_stream_is_pinned(params):
+    count, used, digest = PINNED_STREAMS[params]
+    stream, tracker = hashlib.sha256(), Budget()
+    assert enumerate_path_families(
+        params, budget=tracker,
+        emit=lambda f: stream.update(family_to_line(f).encode() + b"\n"),
+    ) == count
+    assert (tracker.used, stream.hexdigest()) == (used, digest)
+
+
+@pytest.mark.parametrize("params", [
+    (1, 1, 1, 1, 1, 1), (2, 1, 1, 2, 2, 1), (1, 0, 1, 1, 1, 3), (0, 2, 1, 1, 4, 2),
+])
+def test_iter_and_emit_give_the_same_families(params):
+    emitted, by_emit, by_iter = [], Budget(), Budget()
+    count = enumerate_path_families(params, emit=emitted.append, budget=by_emit)
+    assert list(iter_path_families(params, budget=by_iter)) == emitted
+    assert count == len(emitted)
+    assert by_iter.used == by_emit.used
+    # counting alone visits the same nodes
+    counted = Budget()
+    assert enumerate_path_families(params, budget=counted) == count
+    assert counted.used == by_emit.used
+
+
+def test_iter_path_families_stops_at_budget_like_emit():
+    for limit in (1, 10, 60, 500):
+        emitted, by_emit = [], Budget(limit)
+        with pytest.raises(BudgetExceededError):
+            enumerate_path_families((2, 2, 2, 1, 1, 1), emit=emitted.append,
+                                    budget=by_emit)
+        iterated, by_iter = [], Budget(limit)
+        with pytest.raises(BudgetExceededError):
+            iterated.extend(iter_path_families((2, 2, 2, 1, 1, 1), budget=by_iter))
+        assert iterated == emitted
+        assert by_iter.used == by_emit.used == limit + 1
 
 
 def test_family_line_round_trip():
