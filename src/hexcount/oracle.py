@@ -6,9 +6,10 @@ directly, the other enumerates plane partitions in a box, optionally
 restricted to the boundary pattern that encodes the three fixed border
 tiles.  Both are deterministic (fixed visit order) and budgeted: every
 search-tree node expansion spends one unit, and exceeding the budget
-raises rather than returning a partial count.  The path search runs on
-an explicit stack, so it has no depth limit: a family may have any
-number of vertices.
+raises rather than returning a partial count.  Neither search recurses,
+so neither has a depth limit: the path search keeps an explicit stack,
+and the plane-partition fill needs no stack at all, so a family may
+have any number of vertices and an array any number of cells.
 """
 
 from __future__ import annotations
@@ -239,55 +240,47 @@ class PlanePartition:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
 
-def _descending_rows(
-    width: int, cap_row: Sequence[int], tracker: Budget
-) -> "list[tuple[int, ...]]":
-    """All weakly decreasing rows of the given width with entry j <= cap_row[j],
-    in lexicographically decreasing order."""
-    results: list[tuple[int, ...]] = []
-    row: list[int] = []
+def _fill_cells(height: int, width: int, top: int,
+                row_ok: Callable[[int, tuple[int, ...]], bool], tracker: Budget,
+                emit: Callable[[PlanePartition], None] | None,
+                prefix: Sequence[int] = ()) -> ExactInt:
+    """Count (and optionally emit) the height x width plane partitions with
+    entries <= top whose first row starts with prefix and whose every row i
+    passes row_ok(i, row), checked when the row is complete.
 
-    def place(j: int, high: int) -> None:
-        if j == width:
-            results.append(tuple(row))
-            return
-        top = min(high, cap_row[j])
-        for v in range(top, -1, -1):
-            tracker.spend()
-            row.append(v)
-            place(j + 1, v)
-            row.pop()
-
-    place(0, cap_row[0] if width else 0)
-    return results
-
-
-def _fill_rows(height: int, width: int, first_rows: Sequence[tuple[int, ...]],
-               row_ok: Callable[[int, tuple[int, ...]], bool], tracker: Budget,
-               emit: Callable[[PlanePartition], None] | None) -> ExactInt:
-    """Count (and optionally emit) the plane partitions with one of
-    first_rows on top, each later row in lexicographically decreasing
-    order under the row above, and every row i passing row_ok(i, row)."""
-    count = 0
-    stack: list[tuple[int, ...]] = []
-
-    def fill(i: int, row: tuple[int, ...]) -> None:
-        nonlocal count
-        if not row_ok(i, row):
-            return
-        stack.append(row)
-        if i + 1 == height:
+    The array is filled cell by cell in row-major order, each cell from its
+    cap min(above, left) down to 0, so the arrays come in lexicographically
+    decreasing order.  There is no stack and no recursion: a backtrack
+    lowers the last cell past the prefix that is above 0, and the cells
+    after it are re-capped on the way forward.  Each entry tried spends one
+    unit; the prefix spends none."""
+    cells = [top] * width + list(prefix)  # a row of caps above row 0
+    start, end = len(cells), (height + 1) * width
+    cells += [0] * (end - start)
+    count, k = 0, start  # cells[:k] are set
+    while True:
+        row_done = k % width == 0 and k > width
+        if not row_done or row_ok(k // width - 2, tuple(cells[k - width:k])):
+            if k < end:
+                cap = cells[k - width]
+                if k % width and cells[k - 1] < cap:
+                    cap = cells[k - 1]
+                tracker.spend()
+                cells[k] = cap
+                k += 1
+                continue
             count += 1
             if emit is not None:
-                emit(PlanePartition(tuple(stack)))
-        else:
-            for below in _descending_rows(width, row, tracker):
-                fill(i + 1, below)
-        stack.pop()
-
-    for first in first_rows:
-        fill(0, first)
-    return count
+                emit(PlanePartition(tuple(
+                    tuple(cells[i:i + width]) for i in range(width, end, width))))
+        k -= 1
+        while k >= start and not cells[k]:
+            k -= 1
+        if k < start:
+            return count
+        tracker.spend()
+        cells[k] -= 1
+        k += 1
 
 
 def enumerate_plane_partitions_box(
@@ -298,8 +291,10 @@ def enumerate_plane_partitions_box(
     budget: int | Budget | None = None,
 ) -> ExactInt:
     """Count (and optionally emit) plane partitions with a rows, b
-    columns, entries <= c.  Rows are generated top to bottom, each row
-    lexicographically decreasing, fixing the emission order."""
+    columns, entries <= c.  The cells are filled in row-major order, each
+    from min(above, left) down to 0, so the arrays come in
+    lexicographically decreasing order, read row by row.  The fill has no
+    depth limit."""
     for name, value in (("a", a), ("b", b), ("c", c)):
         if value < 0:
             raise ValueError(f"side {name} must be >= 0, got {value}")
@@ -308,8 +303,7 @@ def enumerate_plane_partitions_box(
         if emit is not None:
             emit(PlanePartition(tuple(() for _ in range(a))))
         return 1
-    return _fill_rows(a, b, _descending_rows(b, [c] * b, tracker),
-                      lambda i, row: True, tracker, emit)
+    return _fill_cells(a, b, c, lambda i, row: True, tracker, emit)
 
 
 def enumerate_constrained_pp(
@@ -345,10 +339,6 @@ def enumerate_constrained_pp(
         return True
 
     # First row: a forced prefix of b+2-s maxima, then strictly below
-    # the maximum.  Generate the free suffix only.
-    maxima = width - s
-    first_rows = [
-        (depth,) * maxima + suffix
-        for suffix in _descending_rows(s, [depth - 1] * s, tracker)
-    ]
-    return _fill_rows(height, width, first_rows, row_ok, tracker, emit)
+    # the maximum, so every free entry is capped at depth-1.
+    return _fill_cells(height, width, depth - 1, row_ok, tracker, emit,
+                       prefix=(depth,) * (width - s))

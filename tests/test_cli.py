@@ -288,6 +288,16 @@ def test_render_has_no_depth_limit(tmp_path):
     assert target.read_text().count("<polygon") == 1947
 
 
+def test_plane_partition_count_has_no_depth_limit(capsys):
+    # 1,002 rows, past the depth of a recursive row-by-row fill
+    code, out, err = run(capsys, "count", "1000", "0", "0", "1", "1", "1",
+                         "--methods", "brute-pp,formula")
+    assert code == EXIT_OK
+    assert err == ""
+    assert [line.split()[:2] for line in out.splitlines()[1:3]] == [
+        ["brute-pp", "1001"], ["formula", "1001"]]
+
+
 def test_unexpected_exception_is_exit_4(capsys, monkeypatch):
     def broken(p, budget):
         raise ZeroDivisionError("planted\nsecond line")

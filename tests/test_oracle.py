@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,3 +283,52 @@ def test_constrained_counts_are_exact_not_bounds():
 def test_constrained_matches_formula_beyond_minimal():
     for params in [(1, 1, 0, 2, 1, 1), (2, 1, 1, 2, 2, 1), (0, 2, 1, 1, 3, 2)]:
         assert enumerate_constrained_pp(params) == count_theorem1(params)
+
+
+# count, Budget.used and to_text stream digest of the row-by-row recursive
+# fill that the cell-by-cell loop replaced
+PINNED_PP_STREAMS = {
+    (2, 1, 1, 2, 2, 1): (81, 1214, "bbb3be9663cdab06311a6a550d1dfacf"
+                                   "dca358f3a522c9115ce479bcf6b287ba"),
+    (2, 2, 2, 2, 2, 2): (6272, 74544, "f328024d431def8c4ef14a4f19f2dff7"
+                                      "71ecb342f01f7b8e56f82863e662ebb1"),
+    (3, 3, 3): (980, 2674, "0e9376c42f476cafe78a8ce652fd7b5c"
+                           "3684cf7281c36ff2d4cddc75cbb0f0c9"),  # the box
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_PP_STREAMS))
+def test_plane_partition_stream_is_pinned(case):
+    count, used, digest = PINNED_PP_STREAMS[case]
+    stream, tracker = hashlib.sha256(), Budget()
+    enumerate_pp = (partial(enumerate_plane_partitions_box, *case)
+                    if len(case) == 3 else partial(enumerate_constrained_pp, case))
+    assert enumerate_pp(
+        budget=tracker,
+        emit=lambda pp: stream.update((pp.to_text() + "\n\n").encode()),
+    ) == count
+    assert (tracker.used, stream.hexdigest()) == (used, digest)
+
+
+def test_box_enumeration_has_no_depth_limit():
+    # 1,500 rows or columns, past the depth of a recursive fill
+    assert enumerate_plane_partitions_box(1500, 1, 1) == 1501
+    assert enumerate_plane_partitions_box(1, 1500, 1) == 1501
+
+
+def test_plane_partition_enumeration_stops_at_budget():
+    params = (2, 2, 2, 2, 2, 2)
+    full: list[PlanePartition] = []
+    enumerate_constrained_pp(params, emit=full.append)
+    for limit in (10, 100, 1000):
+        emitted, tracker = [], Budget(limit)
+        with pytest.raises(BudgetExceededError):
+            enumerate_constrained_pp(params, emit=emitted.append, budget=tracker)
+        assert tracker.used == limit + 1
+        assert emitted == full[:len(emitted)]
+    # a shared tracker accumulates across calls
+    tracker = Budget(10**6)
+    enumerate_constrained_pp((1, 1, 1, 1, 1, 1), budget=tracker)
+    used = tracker.used
+    enumerate_constrained_pp((1, 1, 1, 1, 1, 1), budget=tracker)
+    assert tracker.used == 2 * used > 0
