@@ -7,8 +7,11 @@ Subcommands:
                  general formula and the determinant
 * ``verify``     sweep all parameter tuples up to given side bounds and
                  cross-check every method
-* ``identities`` run the determinant/polynomial identity checks
+* ``identities`` tally the identity suite of ``closedform.identity_checks``
 * ``render``     write an SVG of a tiling (or the bare region)
+
+``count``, ``propp`` and ``verify`` run their methods through one timed
+loop, ``_evaluate``.
 
 Exit codes: 0 all methods agree, 1 disagreement, 2 usage error
 (including an output file that cannot be written), 3 enumeration
@@ -22,23 +25,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .closedform import (
     HexagonParams,
-    check_final_identity,
-    check_krattenthaler_lemma,
-    check_lemma5_identity,
-    check_relabelling_identities,
+    all_params,
     count_propp,
     count_theorem1,
+    identity_checks,
 )
 from .exact import ExactInt
 from .geometry import (
@@ -47,8 +46,7 @@ from .geometry import (
     paths_to_tiling,
     render_svg,
 )
-from .lgv import build_matrix_M, det_condensation, det_elimination, \
-    verify_desnanot_jacobi
+from .lgv import build_matrix_M, det_condensation, det_elimination
 from .oracle import (
     Budget,
     BudgetExceededError,
@@ -76,14 +74,18 @@ class MethodResult:
     method: str
     value: ExactInt | None
     elapsed: float
-    note: str = ""
+    note: str = ""  # why the method was skipped, if it was
+
+    @property
+    def shown_note(self) -> str:
+        return f"skipped: {self.note}" if self.note else ""
 
     def to_dict(self) -> dict:
         return {
             "method": self.method,
             "value": None if self.value is None else _decimal(self.value),
             "elapsed": round(self.elapsed, 6),
-            "note": self.note,
+            "note": self.shown_note,
         }
 
 
@@ -116,7 +118,7 @@ class RunReport:
         print(f"{self.command} {header}".rstrip(), file=out)
         for r in self.results:
             value = "-" if r.value is None else _decimal(r.value)
-            note = f"  [{r.note}]" if r.note else ""
+            note = f"  [{r.shown_note}]" if r.note else ""
             print(f"  {r.method:<14} {value}{note}  ({r.elapsed:.3f}s)", file=out)
         for note in self.notes:
             print(f"  note: {note}", file=out)
@@ -136,26 +138,26 @@ METHODS: dict[str, Callable[[HexagonParams, int | None], ExactInt]] = {
 DEFAULT_METHODS = "formula,det,det-condense"
 
 
-def _evaluate(report: RunReport, p: HexagonParams, methods: Sequence[str],
-              budget: int | None) -> None:
-    """Run each method; one over budget is skipped, unless all are."""
-    skipped: list[BudgetExceededError] = []
-    for name in methods:
+def _evaluate(p: HexagonParams, methods: Sequence[tuple[str, Callable]],
+              budget: int | None) -> list[MethodResult]:
+    """Time each (name, method); one over budget is skipped, unless all are."""
+    results = []
+    for name, method in methods:
         start = time.perf_counter()
         try:
-            value = METHODS[name](p, budget)
-            note = ""
+            value, note = method(p, budget), ""
         except BudgetExceededError as exc:
-            skipped.append(exc)
-            value, note = None, f"skipped: {exc}"
-        report.results.append(
+            exceeded, value, note = exc, None, str(exc)
+        results.append(
             MethodResult(name, value, time.perf_counter() - start, note)
         )
-    if len(skipped) == len(methods):
-        raise skipped[-1]
+    if all(r.value is None for r in results):
+        raise exceeded
+    return results
 
 
-def _parse_methods(raw: str) -> list[str]:
+def _parse_methods(raw: str) -> list[tuple[str, Callable]]:
+    """The named methods in order; a name given twice runs twice."""
     methods = [m.strip() for m in raw.split(",") if m.strip()]
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -164,19 +166,23 @@ def _parse_methods(raw: str) -> list[str]:
         )
     if not methods:
         raise _UsageError("no methods given")
-    return methods
+    return [(m, METHODS[m]) for m in methods]
 
 
 class _UsageError(Exception):
     pass
 
 
-def _emit(report: RunReport, as_json: bool) -> None:
-    if as_json:
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        print()
+def _report(args: argparse.Namespace, p: HexagonParams,
+            methods: Sequence[tuple[str, Callable]], **header: int) -> int:
+    """Evaluate, print the report of ``args.command`` and return its exit code."""
+    params = {**header, **{k: getattr(p, k) for k in "abcrst"}}
+    report = RunReport(args.command, params, _evaluate(p, methods, args.budget))
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         report.print_text()
+    return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -184,11 +190,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         p = HexagonParams(args.a, args.b, args.c, args.r, args.s, args.t)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    methods = _parse_methods(args.methods)
-    report = RunReport("count", {k: getattr(p, k) for k in "abcrst"})
-    _evaluate(report, p, methods, args.budget)
-    _emit(report, args.json)
-    return EXIT_OK if report.agree else EXIT_DISAGREE
+    return _report(args, p, _parse_methods(args.methods))
 
 
 def cmd_propp(args: argparse.Namespace) -> int:
@@ -196,26 +198,9 @@ def cmd_propp(args: argparse.Namespace) -> int:
     if n < 0:
         raise _UsageError(f"n must be >= 0, got {n}")
     p = HexagonParams(2 * n, 2 * n, 2 * n, n + 1, n + 1, n + 1)
-    report = RunReport("propp", {"n": n, **{k: getattr(p, k) for k in "abcrst"}})
-    start = time.perf_counter()
-    special = count_propp(n)
-    report.results.append(
-        MethodResult("special-form", special, time.perf_counter() - start)
-    )
-    _evaluate(report, p, ["formula", "det"], args.budget)
-    _emit(report, args.json)
-    return EXIT_OK if report.agree else EXIT_DISAGREE
-
-
-def _all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
-    """Every valid (a, b, c, r, s, t) with sides up to the given bounds,
-    in lexicographic order."""
-    for a, b, c in itertools.product(
-        range(max_a + 1), range(max_b + 1), range(max_c + 1)
-    ):
-        yield from itertools.product(
-            [a], [b], [c], range(1, a + 3), range(1, b + 3), range(1, c + 3)
-        )
+    methods = [("special-form", lambda p, budget: count_propp(n)),
+               ("formula", METHODS["formula"]), ("det", METHODS["det"])]
+    return _report(args, p, methods, n=n)
 
 
 @dataclass
@@ -246,7 +231,7 @@ def run_verify(
     fault: Callable[[HexagonParams, ExactInt], ExactInt] | None = None,
 ) -> VerifyOutcome:
     """Cross-check every method on every parameter tuple with sides up
-    to the given bounds.
+    to the given bounds, through ``_evaluate`` as ``count`` does.
 
     A brute-force method that exceeds its per-instance budget is
     recorded as skipped for that instance, not failed.  ``fault``, used
@@ -254,18 +239,17 @@ def run_verify(
     harness can be shown to catch a planted disagreement.
     """
     outcome = VerifyOutcome()
-    methods = [m for m in METHODS if include_brute or not m.startswith("brute")]
-    for params in _all_params(max_a, max_b, max_c):
+    methods = [(name, method) for name, method in METHODS.items()
+               if include_brute or not name.startswith("brute")]
+    for params in all_params(max_a, max_b, max_c):
         p = HexagonParams(*params)
         outcome.instances += 1
-        values: dict[str, ExactInt] = {}
-        for name in methods:
-            try:
-                values[name] = METHODS[name](p, budget)
-            except BudgetExceededError as exc:
-                outcome.skipped.append(
-                    {"params": params, "method": name, "note": str(exc)}
-                )
+        results = _evaluate(p, methods, budget)
+        values = {r.method: r.value for r in results if r.value is not None}
+        outcome.skipped.extend(
+            {"params": params, "method": r.method, "note": r.note}
+            for r in results if r.value is None
+        )
         if fault is not None:
             values["formula"] = fault(p, values["formula"])
         if len(set(values.values())) > 1:
@@ -285,8 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         budget=args.budget, include_brute=not args.skip_brute,
     )
     if args.json:
-        json.dump(outcome.to_dict(), sys.stdout, indent=2)
-        print()
+        print(json.dumps(outcome.to_dict(), indent=2))
     else:
         print(f"checked {outcome.instances} parameter tuples "
               f"(sides up to {args.max_a},{args.max_b},{args.max_c})")
@@ -302,67 +285,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def run_identities(bound: int, trials: int, seed: int) -> dict:
-    """Run every identity check; returns a summary dict with failure lists."""
-    rng = random.Random(seed)
-    summary: dict = {"bound": bound, "trials": trials, "seed": seed,
-                     "failures": [], "checks": {}}
-
-    def record(name: str, total: int, failures: list) -> None:
-        summary["checks"][name] = {"total": total, "failed": len(failures)}
-        summary["failures"].extend(f"{name}: {f}" for f in failures)
-
-    failures = []
-    total = 0
-    for order in (4, 5):
-        for _ in range(trials):
-            matrix = [[rng.randint(-9, 9) for _ in range(order)]
-                      for _ in range(order)]
-            total += 1
-            if not verify_desnanot_jacobi(matrix):
-                failures.append(f"order {order}: {matrix}")
-    record("desnanot-jacobi", total, failures)
-
-    failures = []
-    total = 0
-    for _ in range(trials // 2):
-        n = rng.randint(1, 5)
-        x = [rng.randint(-8, 8) for _ in range(n)]
-        av = [rng.randint(-8, 8) for _ in range(n - 1)]
-        bv = [rng.randint(-8, 8) for _ in range(n - 1)]
-        total += 1
-        if not check_krattenthaler_lemma(x, av, bv):
-            failures.append(f"x={x} A={av} B={bv}")
-    record("factorisation-lemma", total, failures)
-
-    for name, check, arity in (
-        ("assembly-identity", check_final_identity, 6),
-        ("minor-step-identity", check_lemma5_identity, 4),
-    ):
-        failures = []
-        total = 0
-        grid = range(bound + 1)
-        for tup in itertools.product(grid, repeat=arity):
-            total += 1
-            if not check(*tup):
-                failures.append(str(tup))
-        for _ in range(trials):
-            tup = tuple(rng.randint(-50, 50) for _ in range(arity))
-            total += 1
-            if not check(*tup):
-                failures.append(str(tup))
-        record(name, total, failures)
-
-    failures = []
-    total = 0
-    for params in _all_params(bound, bound, bound):
-        report = check_relabelling_identities(*params)
-        total += 1
-        if not report.ok:
-            failures.append(f"{params}: {report.failures()}")
-    record("minor-relabelling", total, failures)
-
-    summary["ok"] = not summary["failures"]
-    return summary
+    """Fold ``closedform.identity_checks`` into a summary dict: totals and
+    failures per check, and every failing case."""
+    checks: dict[str, dict] = {}
+    failures: list[str] = []
+    for name, case, holds in identity_checks(bound, trials, seed):
+        stats = checks.setdefault(name, {"total": 0, "failed": 0})
+        stats["total"] += 1
+        if not holds:
+            stats["failed"] += 1
+            failures.append(f"{name}: {case}")
+    return {"bound": bound, "trials": trials, "seed": seed,
+            "failures": failures, "checks": checks, "ok": not failures}
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
@@ -370,8 +304,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
         raise _UsageError("--bound must be >= 0 and --trials >= 1")
     summary = run_identities(args.bound, args.trials, args.seed)
     if args.json:
-        json.dump(summary, sys.stdout, indent=2)
-        print()
+        print(json.dumps(summary, indent=2))
     else:
         for name, stats in summary["checks"].items():
             print(f"  {name:<22} {stats['total']:>6} checks, "

@@ -15,12 +15,15 @@ the polynomial factor joins as a cofactor.  A non-integer result
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import ExactInt, Exponents
 from . import lgv
-from .lgv import det_elimination, minor, validate_parameters
+from .lgv import det_elimination, minor, validate_parameters, \
+    verify_desnanot_jacobi
 
 
 @dataclass(frozen=True)
@@ -268,6 +271,9 @@ class IdentityReport:
     def failures(self) -> list[str]:
         return sorted(k for k, v in self.statuses.items() if v == FAILED)
 
+    def __str__(self) -> str:
+        return f"{self.params}: {self.failures()}"
+
 
 def _minor_det(
     shape: tuple[int, int, int, int, int, int],
@@ -374,3 +380,53 @@ def check_relabelling_identities(
         rhs = _minor_det(rshape, *rdel)
         statuses[name] = HOLDS if lhs == rhs else FAILED
     return IdentityReport((a, b, c, r, s, t), statuses)
+
+
+def all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
+    """Every valid (a, b, c, r, s, t) with sides up to the given bounds,
+    in lexicographic order."""
+    for a, b, c in itertools.product(
+        range(max_a + 1), range(max_b + 1), range(max_c + 1)
+    ):
+        yield from itertools.product(
+            [a], [b], [c], range(1, a + 3), range(1, b + 3), range(1, c + 3)
+        )
+
+
+def identity_checks(
+    bound: int, trials: int, seed: int
+) -> Iterator[tuple[str, object, bool]]:
+    """The identity suite, as ``(check name, case, holds)`` per case.
+
+    Desnanot-Jacobi runs on ``trials`` random matrices of orders 4 and 5,
+    the factorisation lemma on half as many cases (rounded up), the two
+    polynomial identities on the grid 0..bound and ``trials`` random
+    points in -100..100, the relabellings on all sides <= bound.
+    A case prints as its input; a relabelling's is its ``IdentityReport``.
+    """
+    rng = random.Random(seed)
+    for order in (4, 5):
+        for _ in range(trials):
+            matrix = [[rng.randint(-9, 9) for _ in range(order)]
+                      for _ in range(order)]
+            yield ("desnanot-jacobi", f"order {order}: {matrix}",
+                   verify_desnanot_jacobi(matrix))
+    for _ in range((trials + 1) // 2):
+        n = rng.randint(1, 5)
+        x = [rng.randint(-8, 8) for _ in range(n)]
+        av = [rng.randint(-8, 8) for _ in range(n - 1)]
+        bv = [rng.randint(-8, 8) for _ in range(n - 1)]
+        yield ("factorisation-lemma", f"x={x} A={av} B={bv}",
+               check_krattenthaler_lemma(x, av, bv))
+    for name, check, arity in (
+        ("assembly-identity", check_final_identity, 6),
+        ("minor-step-identity", check_lemma5_identity, 4),
+    ):
+        for case in itertools.product(range(bound + 1), repeat=arity):
+            yield name, case, check(*case)
+        for _ in range(trials):
+            case = tuple(rng.randint(-100, 100) for _ in range(arity))
+            yield name, case, check(*case)
+    for params in all_params(bound, bound, bound):
+        report = check_relabelling_identities(*params)
+        yield "minor-relabelling", report, report.ok

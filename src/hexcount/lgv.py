@@ -75,22 +75,6 @@ class PointConfiguration:
         return self.a + 2
 
 
-def _point_configuration_unchecked(
-    a: int, b: int, c: int, r: int, s: int, t: int
-) -> PointConfiguration:
-    # Same construction as build_point_configuration but without range
-    # validation; the boundary checks in closedform probe r = 0 and
-    # r = a+3 deliberately.
-    starts = [LatticePoint(0, c + 2 - t)]
-    starts.extend(LatticePoint(i - 1, c + 2 + i) for i in range(1, a + 1))
-    starts.append(LatticePoint(a + b + 2 - s, a + c + 2))
-    ends = [
-        LatticePoint(b + j + (1 if j >= r else 0), j + (1 if j >= r else 0))
-        for j in range(a + 2)
-    ]
-    return PointConfiguration(a, b, c, r, s, t, tuple(starts), tuple(ends))
-
-
 def build_point_configuration(
     a: int, b: int, c: int, r: int, s: int, t: int
 ) -> PointConfiguration:
@@ -101,7 +85,14 @@ def build_point_configuration(
     where the third fixed border tile interrupts the bottom side.
     """
     validate_parameters(a, b, c, r, s, t)
-    return _point_configuration_unchecked(a, b, c, r, s, t)
+    starts = [LatticePoint(0, c + 2 - t)]
+    starts.extend(LatticePoint(i - 1, c + 2 + i) for i in range(1, a + 1))
+    starts.append(LatticePoint(a + b + 2 - s, a + c + 2))
+    ends = [
+        LatticePoint(b + j + (1 if j >= r else 0), j + (1 if j >= r else 0))
+        for j in range(a + 2)
+    ]
+    return PointConfiguration(a, b, c, r, s, t, tuple(starts), tuple(ends))
 
 
 def count_paths(start: LatticePoint, end: LatticePoint) -> ExactInt:

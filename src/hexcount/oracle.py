@@ -40,8 +40,8 @@ class Budget:
     """Node-expansion counter with a hard limit.
 
     The default limit comes from the HEXCOUNT_BUDGET environment
-    variable, falling back to 10**8.  One instance tracks one
-    enumeration call.
+    variable, falling back to 10**8.  An instance accumulates: shared by
+    several enumeration calls, it counts and limits them together.
     """
 
     def __init__(self, limit: int | None = None):

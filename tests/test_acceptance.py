@@ -5,20 +5,17 @@ there are no tolerances anywhere.
 """
 
 import itertools
-import random
 import time
 from collections import Counter
 
 from hexcount.closedform import (
-    check_final_identity,
-    check_krattenthaler_lemma,
-    check_lemma5_identity,
-    check_relabelling_identities,
+    HOLDS,
     count_macmahon_box,
     count_propp,
     count_theorem1,
     det_inner_closed,
     det_m00_closed,
+    identity_checks,
 )
 from hexcount.geometry import (
     build_region,
@@ -34,7 +31,6 @@ from hexcount.lgv import (
     det_condensation,
     det_elimination,
     minor,
-    verify_desnanot_jacobi,
 )
 from hexcount.oracle import (
     LatticePoint,
@@ -107,38 +103,22 @@ def test_minor_closed_forms_match_elimination():
 
 
 def test_identity_suite_has_zero_failures():
-    rng = random.Random(20260814)
-
-    for order in (4, 5):
-        for _ in range(100):
-            matrix = [
-                [rng.randint(-9, 9) for _ in range(order)] for _ in range(order)
-            ]
-            assert verify_desnanot_jacobi(matrix), matrix
-
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        x = [rng.randint(-8, 8) for _ in range(n)]
-        a_vals = [rng.randint(-8, 8) for _ in range(n - 1)]
-        b_vals = [rng.randint(-8, 8) for _ in range(n - 1)]
-        assert check_krattenthaler_lemma(x, a_vals, b_vals), (x, a_vals, b_vals)
-
-    for tup in itertools.product(range(4), repeat=6):
-        assert check_final_identity(*tup), tup
-    for tup in itertools.product(range(4), repeat=4):
-        assert check_lemma5_identity(*tup), tup
-    for _ in range(100):
-        tup6 = tuple(rng.randint(-100, 100) for _ in range(6))
-        assert check_final_identity(*tup6), tup6
-        assert check_lemma5_identity(*tup6[:4]), tup6[:4]
-
+    # the suite `hexcount identities` runs, on sides and grids up to 3
+    # and with random polynomial points in -100..100
+    totals = Counter()
     checked = 0
-    for params in sweep_instances(3):
-        report = check_relabelling_identities(*params)
-        assert report.ok, (params, report.failures())
-        checked += len(
-            [v for v in report.statuses.values() if v == "holds"]
-        )
+    for name, case, holds in identity_checks(3, 100, 20260814):
+        assert holds, (name, str(case))
+        totals[name] += 1
+        if name == "minor-relabelling":
+            checked += list(case.statuses.values()).count(HOLDS)
+    assert totals == {
+        "desnanot-jacobi": 2 * 100,
+        "factorisation-lemma": 50,
+        "assembly-identity": 4**6 + 100,
+        "minor-step-identity": 4**4 + 100,
+        "minor-relabelling": len(list(sweep_instances(3))),
+    }
     assert checked > 0
 
 

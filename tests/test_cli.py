@@ -1,13 +1,18 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hexcount
-from hexcount import cli
+from hexcount import cli, closedform
 from hexcount.cli import (
     EXIT_BUDGET,
+    EXIT_DISAGREE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -209,6 +214,27 @@ def test_identities_command(capsys):
     assert all(stats["failed"] == 0 for stats in payload["checks"].values())
 
 
+def test_every_identity_check_runs_at_least_once(capsys):
+    code, out, err = run(
+        capsys, "identities", "--bound", "0", "--trials", "1", "--json"
+    )
+    assert code == EXIT_OK
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 5
+    assert all(stats["total"] >= 1 for stats in checks.values()), checks
+
+
+def test_identities_reports_a_failing_case(capsys, monkeypatch):
+    holds = closedform.check_lemma5_identity
+    monkeypatch.setattr(closedform, "check_lemma5_identity",
+                        lambda *case: case != (0, 0, 0, 0) and holds(*case))
+    code, out, err = run(capsys, "identities", "--bound", "1", "--trials", "10")
+    assert code == EXIT_DISAGREE
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "  FAIL minor-step-identity: (0, 0, 0, 0)", "identities FAILED"]
+    assert "minor-step-identity        26 checks, 1 failed" in out
+
+
 def test_identities_deterministic_given_seed():
     one = run_identities(1, 15, seed=7)
     two = run_identities(1, 15, seed=7)
@@ -316,6 +342,15 @@ def test_main_keeps_no_state_between_calls(capsys):
     assert code == EXIT_OK
     assert "35" in out
 
+def test_count_runs_a_repeated_method_once_per_mention(capsys):
+    code, out, err = run(capsys, "count", "1", "1", "1", "1", "1", "1",
+                         "--methods", "formula,formula", "--json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert [(r["method"], r["value"]) for r in results] == [
+        ("formula", "35"), ("formula", "35")]
+
+
 def test_report_agreement_logic():
     report = RunReport("count", {"a": 0})
     report.results.append(MethodResult("formula", 5, 0.0))
@@ -324,3 +359,48 @@ def test_report_agreement_logic():
     assert report.agree
     report.results.append(MethodResult("brute-pp", 6, 0.0))
     assert not report.agree
+
+
+# sha256 of each output with its times masked: counts, notes, skips and
+# failures, in text and JSON, stay byte for byte
+PINNED_OUTPUTS = {
+    "verify --max-a 1 --max-b 1 --max-c 1":
+        "e50b094736ec1bced0ffc9ce0dfd7309db4549ea00a4f6f67e725c336505403c",
+    "verify --max-a 1 --max-b 1 --max-c 1 --json":
+        "13e31bb588d93df614253611fe7e247d1147852220a8210775fc001a3c19af8d",
+    "verify --max-a 1 --max-b 1 --max-c 1 --budget 60":
+        "0fe5fbb1b15ead81e6e24f4f0d7214a90be25b900b5548dbe37e6630f3606247",
+    "verify --max-a 1 --max-b 1 --max-c 1 --budget 60 --json":
+        "89639748cd53bb0d03614387307526b7872059ad3e666c3185598edad312ee7a",
+    "verify --skip-brute --json":
+        "1856c0bba05ef9adad4efdb4603db29029715139748365ca0ec181dbc228b794",
+    "identities --bound 1 --trials 10":
+        "f27c7045c51d24ab201b18d13a977407b8cdee52acdc00d57e95c7a4aa2c3a74",
+    "identities --bound 1 --trials 10 --json":
+        "b2883d2d2ee498e479e9e02a3059d09897a7376cc20e7e51902cc9f1e60b638c",
+    "identities":
+        "ecc4fb5e31872489606dec5997e932be2503c552ebc988c1031a66b772d15d19",
+    "propp 1":
+        "93a5dee4864390814fb32a702c51d7b4bb3b79fb915a11d3a2e4d9f1f40d0093",
+    "propp 2 --json":
+        "bd6f6eebab64fe781558b83a8da6cca9e8027813aeda2ecb674a5d3ab67a9edb",
+    "count 2 2 2 1 1 1 --methods formula,brute --budget 10 --json":
+        "2b66257453e90328781610ea31e4deab85eafb07734cf10bb75eb1962a8b6187",
+    "count 2 2 2 1 1 1 --methods formula,brute --budget 10":
+        "cc6a89961067091140b4512fc8af4138d6296847c36b0847335089df1e369561",
+    "count 1 1 1 1 1 1 --methods formula,det,det-condense,brute,brute-pp":
+        "0783ea323092ae950f73790a04e325d2da49d3bab1bef5e8c138e5d9a7b42911",
+    "count 1 1 1 1 1 1 --methods formula,formula --json":
+        "fdfb74b1bce62e0548f2e877cc6950c89eae3f64323604f8502b39aa460bbdb2",
+    "count 2 2 2 1 1 1 --methods brute,formula,brute --budget 10":
+        "2176cab3b17db749bcbe12994ad2ccecf7f03d773a7d5b08deb7d57305b82e07",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_OK and err == ""
+    out = re.sub(r"\(\d+\.\d+s\)", "(…s)", out)
+    out = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv], out
