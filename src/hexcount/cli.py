@@ -41,6 +41,7 @@ from .closedform import (
 )
 from .exact import ExactInt
 from .geometry import (
+    build_full_region,
     build_region,
     extend_to_full_hexagon,
     paths_to_tiling,
@@ -320,13 +321,13 @@ def cmd_render(args: argparse.Namespace) -> int:
         p = HexagonParams(args.a, args.b, args.c, args.r, args.s, args.t)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    if args.region_only:
-        svg = render_svg(build_region(p))
-        _write(args.out, svg)
-        print(f"wrote {args.out}")
-        return EXIT_OK
     if args.index < 0:
         raise _UsageError(f"--index must be >= 0, got {args.index}")
+    if args.region_only:
+        region = build_full_region(p) if args.full else build_region(p)
+        _write(args.out, render_svg(region))
+        print(f"wrote {args.out}")
+        return EXIT_OK
 
     total = 0
     for total, family in enumerate(iter_path_families(p, args.budget), 1):
@@ -416,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--region-only", action="store_true",
                           help="render the bare region instead of a tiling")
     p_render.add_argument("--full", action="store_true",
-                          help="extend the tiling to the full hexagon")
+                          help="extend the tiling to the full hexagon; with "
+                               "--region-only, render the bare full hexagon")
     p_render.add_argument("--budget", type=int, default=None)
     p_render.set_defaults(func=cmd_render)
     return parser

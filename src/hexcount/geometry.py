@@ -127,6 +127,20 @@ class Region:
         return tuple(sorted(cell for cell in self.cells
                             if cell.orientation == DOWN))
 
+    @cached_property
+    def _svg_frame(self) -> tuple[str, float, float]:
+        """render_svg's header line, and the x0 and y1 that shift the
+        rendered vertices into its view box."""
+        xs = [pt.x * _SQRT3_2 for cell in self.cells for pt in cell.vertices()]
+        ys = [pt.y + pt.x / 2.0 for cell in self.cells for pt in cell.vertices()]
+        margin = 0.5
+        width = max(xs) - min(xs) + 2 * margin
+        height = max(ys) - min(ys) + 2 * margin
+        header = (f'<svg xmlns="http://www.w3.org/2000/svg" '
+                  f'viewBox="0 0 {width:.6f} {height:.6f}" '
+                  f'width="{width * 40:.0f}" height="{height * 40:.0f}">')
+        return header, min(xs) - margin, max(ys) + margin
+
 
 def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
     """The three removed up cells, in the order (t side, s side, r side).
@@ -335,12 +349,15 @@ def tiling_to_plane_partition(tiling: Tiling) -> PlanePartition:
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
+# The four corners of a tile as offsets from its down cell D(u, v), by
+# lean: the down cell's apex, the shared vertex that sorts first, the up
+# cell's apex, the other shared vertex.
+_QUAD_CORNERS = {
+    FLAT: ((0, 1), (1, 0), (2, 0), (1, 1)),
+    RISING: ((1, 1), (0, 1), (0, 0), (1, 0)),
+    FALLING: ((1, 0), (0, 1), (0, 2), (1, 1)),
+}
 _FILL = {FLAT: "#9e9e9e", RISING: "#cfcfcf", FALLING: "#ffffff"}
-_STROKE = "#333333"
-
-
-def _render_xy(pt: LatticePoint) -> tuple[float, float]:
-    return (pt.x * _SQRT3_2, pt.y + pt.x / 2.0)
 
 
 def render_svg(target: Tiling | Region) -> str:
@@ -348,52 +365,35 @@ def render_svg(target: Tiling | Region) -> str:
     lean) or a bare region (one polygon per cell).
 
     Unit edge length, vertices on the (sqrt(3)/2, 1/2) grid, fixed
-    6-decimal coordinates, polygons in sorted order.
+    6-decimal coordinates, polygons in sorted order.  The frame (view
+    box and offsets) is computed once per region and kept on it; each
+    call then does per-tile work only, formatting every vertex once.
     """
     if isinstance(target, Tiling):
         region = target.region
-        polygons = [
-            (tuple(_quad_corners(tile)), _FILL[tile.lean])
-            for tile in target.tiles
-        ]
-    else:
+        shapes = [(tile.down.u, tile.down.v, _QUAD_CORNERS[lean], _FILL[lean])
+                  for tile in target.tiles for lean in (tile.lean,)]
+    else:  # a cell's vertices are its corners' offsets from (0, 0)
         region = target
-        polygons = [
-            (cell.vertices(), _FILL[FALLING]) for cell in sorted(region.cells)
-        ]
-    points = [_render_xy(p) for cell in region.cells for p in cell.vertices()]
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    margin = 0.5
-    width = max(xs) - min(xs) + 2 * margin
-    height = max(ys) - min(ys) + 2 * margin
-    x0 = min(xs) - margin
-    y1 = max(ys) + margin
-
-    def fmt(pt: LatticePoint) -> str:
-        x, y = _render_xy(pt)
-        return f"{x - x0:.6f},{y1 - y:.6f}"
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {width:.6f} {height:.6f}" '
-        f'width="{width * 40:.0f}" height="{height * 40:.0f}">',
-    ]
-    for corners, fill in polygons:
-        pts = " ".join(fmt(p) for p in corners)
+        shapes = [(0, 0, cell.vertices(), _FILL[FALLING])
+                  for cell in sorted(region.cells)]
+    header, x0, y1 = region._svg_frame
+    formatted: dict[tuple[int, int], str] = {}
+    lines = [header]
+    for u, v, corners, fill in shapes:
+        pts = []
+        for dx, dy in corners:
+            key = (u + dx, v + dy)
+            text = formatted.get(key)
+            if text is None:
+                x, y = key
+                text = formatted[key] = (f"{x * _SQRT3_2 - x0:.6f},"
+                                         f"{y1 - (y + x / 2.0):.6f}")
+            pts.append(text)
         lines.append(
-            f'<polygon points="{pts}" fill="{fill}" '
-            f'stroke="{_STROKE}" stroke-width="0.03" '
+            f'<polygon points="{" ".join(pts)}" fill="{fill}" '
+            f'stroke="#333333" stroke-width="0.03" '
             f'stroke-linejoin="round"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _quad_corners(tile: Tile) -> list[LatticePoint]:
-    down_verts = set(tile.down.vertices())
-    up_verts = set(tile.up.vertices())
-    shared = sorted(down_verts & up_verts)
-    apex_down = next(iter(down_verts - up_verts))
-    apex_up = next(iter(up_verts - down_verts))
-    return [apex_down, shared[0], apex_up, shared[1]]

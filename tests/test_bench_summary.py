@@ -1,0 +1,50 @@
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location(
+    "bench_summary", ROOT / "tools" / "bench_summary.py")
+bench_summary = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_summary)
+
+
+def write_runs(root: Path, totals: dict[int, float], written: float) -> None:
+    runs = root / "bench" / "runs"
+    runs.mkdir(parents=True)
+    for seed, total in totals.items():
+        record = {
+            "result": {"correct": True, "attempted": 10, "failed": 0,
+                       "metrics": {"total_ref": {"value": total, "unit": "ref"},
+                                   "peak_rss_mb": {"value": 20.0, "unit": "MB"}}},
+            "rounds": [{}, {}, {}], "traced_rounds": [],
+            "host": {"cpus": 2, "python": "3.11.7"},
+        }
+        path = runs / f"tilings-seed{seed}.json"
+        path.write_text(json.dumps(record))
+        os.utime(path, (written + seed, written + seed))
+    (runs / "tilings-seed1-trace-spans.json").write_text("{}")
+
+
+def test_summary_pairs_runs_by_seed(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, {1: 100.0, 2: 110.0, 3: 90.0, 4: 95.0}, 1000.0)
+    write_runs(change, {1: 60.0, 2: 70.0, 3: 95.0, 4: 50.0}, 2000.0)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main([str(parent), str(change), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    doc = summary["workloads"]["tilings"]["untraced"]
+    assert doc["seeds"] == [1, 2, 3, 4]
+    assert doc["parent_ran_first"] == [True] * 4
+    total = doc["metrics"]["total_ref"]
+    assert total["parent"]["median"] == 97.5
+    assert total["change"]["median"] == 65.0
+    assert (total["pairs_won"], total["pairs_lost"]) == (3, 1)
+    assert total["median_gap_exceeds_parent_iqr"]
+    assert total["within_bound"]
+    rss = doc["metrics"]["peak_rss_mb"]
+    assert (rss["pairs_won"], rss["pairs_lost"]) == (0, 0)
+    assert rss["median_change"] == 0.0
+    assert summary["change"]["commit"] is None or len(summary["change"]["commit"]) == 40

@@ -274,6 +274,29 @@ def test_render_full_and_region(tmp_path, capsys):
     assert region_file.read_text().count("<polygon") == 40
 
 
+def test_render_region_only_full_renders_the_full_hexagon(tmp_path, capsys):
+    target = tmp_path / "full-region.svg"
+    code, out, err = run(
+        capsys, "render", "2", "1", "1", "2", "2", "1",
+        "--out", str(target), "--region-only", "--full",
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "711da56d6fbd13ee1cb27a5c5d56d9d38e2dcd83caced2b039bc3ad479ba3491")
+
+
+def test_render_rejects_a_negative_index(tmp_path, capsys):
+    target = tmp_path / "x.svg"
+    for extra in ((), ("--region-only",)):
+        code, out, err = run(
+            capsys, "render", "1", "1", "1", "1", "1", "1",
+            "--out", str(target), "--index", "-3", *extra,
+        )
+        assert code == EXIT_USAGE
+        assert "--index must be >= 0" in err
+        assert not target.exists()
+
+
 def test_render_index_out_of_range(tmp_path, capsys):
     code, out, err = run(
         capsys, "render", "0", "0", "0", "1", "1", "1",

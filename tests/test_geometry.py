@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexcount.closedform import HexagonParams, count_theorem1
 from hexcount.geometry import (
+    _QUAD_CORNERS,
     FALLING,
     FLAT,
     RISING,
@@ -274,6 +276,40 @@ def test_render_bytes_are_pinned():
         "8015bf295702c6f10b78ed9d9fcd5b4818ba689f5f3b1e09a4254e912555f80b",
         "53db1237a1d0da0b6f086d7568715ee8bd52ed0cf4357e9d43c273961da1e5f0",
     ]
+
+
+def test_render_bytes_are_pinned_on_a_sweep():
+    # one sha256 over both bare regions and every tiling, with its
+    # extension, of each shape-(1, 1, 1) tuple with r, s, t in 1..3:
+    # 54 region SVGs and 1,170 tiling SVGs
+    digest = hashlib.sha256()
+    tilings = 0
+    for r, s, t in itertools.product(range(1, 4), repeat=3):
+        p = HexagonParams(1, 1, 1, r, s, t)
+        digest.update(render_svg(build_region(p)).encode())
+        digest.update(render_svg(build_full_region(p)).encode())
+        for family in iter_path_families(p):
+            tiling = paths_to_tiling(family)
+            digest.update(render_svg(tiling).encode())
+            digest.update(render_svg(extend_to_full_hexagon(tiling)).encode())
+            tilings += 2
+    assert tilings == 1170
+    assert digest.hexdigest() == (
+        "fcfee2c56b1ebb881ee25d75c26edd3ebf58afe8a2a2a0691e4c8507340da72d")
+
+
+def test_quad_corner_table_matches_the_cell_vertices():
+    # corners in order: the down cell's apex, the shared vertex that sorts
+    # first, the up cell's apex, the other shared vertex
+    down = TriCell(0, 0, "down")
+    for up in (TriCell(1, 0, "up"), TriCell(0, 0, "up"), TriCell(0, 1, "up")):
+        tile = Tile(down, up)
+        down_verts, up_verts = set(down.vertices()), set(up.vertices())
+        first, second = sorted(down_verts & up_verts)
+        (apex_down,), (apex_up,) = down_verts - up_verts, up_verts - down_verts
+        assert [LatticePoint(*corner) for corner in _QUAD_CORNERS[tile.lean]] \
+            == [apex_down, first, apex_up, second]
+    assert sorted(_QUAD_CORNERS) == sorted([FLAT, RISING, FALLING])
 
 def test_render_vertices_on_half_grid():
     # up to the 0.5 margin, coordinates are multiples of sqrt(3)/2 and 1/2
