@@ -25,11 +25,12 @@ positions t, s, r along those sides and leave notches.  Tilings of the
 working region biject with the nonintersecting path families counted by
 the rest of the package: a flat tile is a right step, an up-leaning
 tile a down step.  The full region is the surrounding a+2, c+2, b+2,
-a+2, c+2, b+2 hexagon; a tiling of the working region extends uniquely
-to it by three forced border strips, and exactly one tile per strip
-(the one absorbing the notch cell) is pinned by the position parameter.
-Tilings of the full hexagon are read off as plane partitions in the
-(a+2) x (b+2) x (c+2) box.
+a+2, c+2, b+2 hexagon.  A working tiling extends to it uniquely: the
+same path-step rule lays the three border strips along border walks
+that lengthen the working paths, and the tiles on the notch cells are
+the fixed border tiles that the position parameters pin.  Tilings of
+the full hexagon are read off as plane partitions in the (a+2) x
+(b+2) x (c+2) box.
 """
 
 from __future__ import annotations
@@ -141,6 +142,25 @@ class Region:
                   f'width="{width * 40:.0f}" height="{height * 40:.0f}">')
         return header, min(xs) - margin, max(ys) + margin
 
+    @cached_property
+    def _border_tiles(self) -> tuple[Tile, ...]:
+        """A full hexagon's tiles outside the working region, sorted: the
+        path-step rule along the border walks.  Path 0 comes down t steps
+        from (-1, c+2) and steps right onto P_0 (the t notch); path a+1
+        takes b+2-s right steps from (a, a+c+3) and steps down onto
+        P_{a+1} (the s notch); path i leaves Q_i by a right step if
+        i < r, else by a down step, so the r notch gets a falling tile."""
+        a, b, c, r, s, t = self.params.astuple()
+        cfg = build_point_configuration(a, b, c, r, s, t)
+        first, last = cfg.starts[0], cfg.starts[-1]
+        walks = [[LatticePoint(-1, c + 2 - k) for k in range(t + 1)] + [first],
+                 [LatticePoint(a + k, a + c + 3) for k in range(b + 3 - s)] + [last]]
+        walks += [(q, LatticePoint(q.x + 1, q.y) if i < r else
+                   LatticePoint(q.x, q.y - 1)) for i, q in enumerate(cfg.ends)]
+        strip = self.cells - build_region(self.params).cells
+        return _lay_tiles(sorted(cell for cell in strip if cell.orientation == DOWN),
+                          walks, c)
+
 
 def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
     """The three removed up cells, in the order (t side, s side, r side).
@@ -221,26 +241,32 @@ def _entry_cell(pos: LatticePoint, c: int) -> TriCell:
     return TriCell(pos.x - 1, pos.y - pos.x - c - 4, DOWN)
 
 
-def paths_to_tiling(family: PathFamily) -> Tiling:
-    """Tiling of the working region encoded by a nonintersecting family.
+def _lay_tiles(down_cells: Iterable[TriCell],
+               walks: Iterable[Sequence[LatticePoint]], c: int) -> tuple[Tile, ...]:
+    """The path-step rule: each step of each walk lays one tile on the
+    down cell it crosses, pairing it with the up cell ahead of a right
+    step (flat tile) or behind a down step (rising tile).  Every other
+    down cell is paired with the up cell above it (falling tile).  The
+    tiles come out in the order of down_cells."""
+    partner: dict[TriCell, TriCell] = {}
+    for walk in walks:
+        for pos, nxt in pairwise(walk):
+            down = _entry_cell(pos, c)
+            partner[down] = TriCell(nxt.x - 1, down.v, UP)
+    return tuple(
+        Tile(down, partner.get(down) or TriCell(down.u, down.v + 1, UP))
+        for down in down_cells)
 
-    Each path step lays one tile on the down cell it crosses: a right
-    step pairs it with the up cell ahead (flat tile), a down step with
-    the up cell behind (rising tile).  Every down cell crossed by no
-    path is paired with the up cell above it (falling tile).  Taking the
+
+def paths_to_tiling(family: PathFamily) -> Tiling:
+    """Tiling of the working region encoded by a nonintersecting family:
+    the path-step rule (_lay_tiles) along its paths.  Taking the
     region's down cells in sorted order lists the tiles sorted.
     """
     cfg = family.config
     region = build_region((cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t))
-    partner: dict[TriCell, TriCell] = {}
-    for path in family.paths:
-        for pos, nxt in pairwise(path.vertices):
-            # the up cell ahead of a right step, or behind a down step
-            down = _entry_cell(pos, cfg.c)
-            partner[down] = TriCell(nxt.x - 1, down.v, UP)
-    return Tiling(region, tuple(
-        Tile(down, partner.get(down) or TriCell(down.u, down.v + 1, UP))
-        for down in region.down_cells))
+    return Tiling(region, _lay_tiles(
+        region.down_cells, (path.vertices for path in family.paths), cfg.c))
 
 
 def _trace_paths(
@@ -282,44 +308,15 @@ def tiling_to_paths(tiling: Tiling) -> PathFamily:
 def extend_to_full_hexagon(tiling: Tiling) -> Tiling:
     """Extend a working-region tiling to the full hexagon.
 
-    The three border strips between the two regions admit exactly one
-    tiling each once the notch cell is absorbed; the tile that absorbs
-    it is the fixed border tile selected by the position parameter.
+    The border strips are forced: Region._border_tiles lays them once
+    per full region by the path-step rule along three border walks, and
+    the tiles on the notch cells are the fixed border tiles.  Both tile
+    lists are sorted, so the sort merges two runs.
     """
     if tiling.region.kind != "notched":
         raise ValueError("extension needs a working-region tiling")
-    p = tiling.region.params
-    a, b, c, r, s, t = p.astuple()
-    tiles = list(tiling.tiles)
-
-    # upper-left strip (column u = -2 plus the t notch)
-    for k in range(1, t + 1):
-        tiles.append(Tile(TriCell(-2, -k, DOWN), TriCell(-2, -k, UP)))
-    tiles.append(Tile(TriCell(-2, -t - 1, DOWN), TriCell(-1, -t - 1, UP)))
-    for k in range(t + 1, c + 3):
-        tiles.append(Tile(TriCell(-2, -k - 1, DOWN), TriCell(-2, -k, UP)))
-
-    # upper-right strip (along the top-right side plus the s notch)
-    for i in range(1, b + 3 - s):
-        tiles.append(Tile(TriCell(a + i - 2, -i, DOWN),
-                          TriCell(a + i - 1, -i, UP)))
-    tiles.append(Tile(TriCell(a + b + 1 - s, s - b - 3, DOWN),
-                      TriCell(a + b + 1 - s, s - b - 3, UP)))
-    for i in range(b + 3 - s, b + 3):
-        tiles.append(Tile(TriCell(a + i - 1, -i - 1, DOWN),
-                          TriCell(a + i - 1, -i, UP)))
-
-    # bottom strip (row v = -b-c-4 plus the r notch)
-    for j in range(0, a + 2 - r):
-        tiles.append(Tile(TriCell(a + b + 1 - j, -b - c - 4, DOWN),
-                          TriCell(a + b + 1 - j, -b - c - 4, UP)))
-    tiles.append(Tile(TriCell(b + r - 1, -b - c - 4, DOWN),
-                      TriCell(b + r - 1, -b - c - 3, UP)))
-    for j in range(a + 3 - r, a + 3):
-        tiles.append(Tile(TriCell(a + b + 1 - j, -b - c - 4, DOWN),
-                          TriCell(a + b + 2 - j, -b - c - 4, UP)))
-
-    return Tiling(build_full_region(p), tuple(sorted(tiles)))
+    full = build_full_region(tiling.region.params)
+    return Tiling(full, tuple(sorted(tiling.tiles + full._border_tiles)))
 
 
 def tiling_to_plane_partition(tiling: Tiling) -> PlanePartition:
@@ -327,8 +324,9 @@ def tiling_to_plane_partition(tiling: Tiling) -> PlanePartition:
     (a+2) x (b+2) x (c+2) box.
 
     The full hexagon carries a+2 paths of its own (running start k =
-    (k-1, c+k+2) to (b+1+k, k)); entry j of row a+1-k is the height of
-    path k during its (j+1)-th right step, minus k.
+    (k-1, c+k+2) to (b+1+k, k)), the working paths lengthened by the
+    border walks; entry j of row a+1-k is the height of path k during
+    its (j+1)-th right step, minus k.
     """
     if tiling.region.kind != "full":
         raise ValueError("plane-partition extraction needs a full-hexagon "

@@ -15,6 +15,7 @@ from hexcount.geometry import (
     Tile,
     Tiling,
     TriCell,
+    _trace_paths,
     build_full_region,
     build_region,
     extend_to_full_hexagon,
@@ -47,6 +48,13 @@ def worked_example_family():
             path((3, 5), (4, 5), (5, 5), (5, 4)),
         ),
     )
+
+
+def all_tuples(side):
+    """Every parameter tuple with sides a, b, c <= side."""
+    for a, b, c in itertools.product(range(side + 1), repeat=3):
+        yield from itertools.product([a], [b], [c], range(1, a + 3),
+                                     range(1, b + 3), range(1, c + 3))
 
 
 # --------------------------------------------------------------------- cells
@@ -174,12 +182,64 @@ def test_extension_is_deterministic_and_position_dependent():
     ext2 = extend_to_full_hexagon(paths_to_tiling(family))
     assert ext1 == ext2
 
+    def border(family):
+        tiling = paths_to_tiling(family)
+        return set(extend_to_full_hexagon(tiling).tiles) - set(tiling.tiles)
+
+    # the border tiles depend on the tuple alone, never on the tiling ...
+    p = HexagonParams(2, 1, 1, 2, 2, 1)
+    borders = {frozenset(border(f)) for f in iter_path_families(p)}
+    assert len(borders) == 1
+    # ... and each of r, s and t alone moves them
+    (base,) = borders
+    for i, top in ((3, p.a + 2), (4, p.b + 2), (5, p.c + 2)):
+        for value in range(1, top + 1):
+            q = list(p.astuple())
+            if value != q[i]:
+                q[i] = value
+                assert border(next(iter_path_families(q))) != base, q
+
 
 def test_plane_partition_of_worked_example():
     tiling = paths_to_tiling(worked_example_family())
     pp = tiling_to_plane_partition(extend_to_full_hexagon(tiling))
     assert pp.rows == ((3, 2, 2), (3, 2, 2), (2, 2, 0), (2, 1, 0))
     assert pp.to_text() == "3 2 2\n3 2 2\n2 2 0\n2 1 0"
+
+
+def _walk(*corners):
+    """The unit-step walk through the given points, each leg along one
+    axis (right or down)."""
+    points = [corners[0]]
+    for corner in corners[1:]:
+        while points[-1] != corner:
+            x, y = points[-1]
+            points.append(LatticePoint(x + (corner.x > x), y - (corner.y < y)))
+    return MonotonePath(tuple(points))
+
+
+def test_full_hexagon_paths_are_the_working_paths_with_border_walks():
+    # on every tiling with sides <= 1, the full hexagon's own paths, traced
+    # across the extension, are the working paths lengthened to the full
+    # hexagon's end points: path 0 down the left border then right onto
+    # P_0, path a+1 right along the top then down onto P_{a+1}, and every
+    # path one step on from Q_i
+    tilings = 0
+    for p in all_tuples(1):
+        a, b, c = p[:3]
+        ends = [(LatticePoint(k - 1, c + k + 2), LatticePoint(b + 1 + k, k))
+                for k in range(a + 2)]
+        for family in iter_path_families(p):
+            expected = []
+            for k, (path, (start, end)) in enumerate(zip(family.paths, ends)):
+                first = path.vertices[0]
+                corner = (LatticePoint(start.x, first.y) if k == 0
+                          else LatticePoint(first.x, start.y))
+                expected.append(_walk(start, corner, *path.vertices, end))
+            extended = extend_to_full_hexagon(paths_to_tiling(family))
+            assert _trace_paths(extended, ends) == expected
+            tilings += 1
+    assert tilings == sum(count_theorem1(p) for p in all_tuples(1)) == 930
 
 
 def test_wrong_region_kinds_are_rejected():
@@ -296,6 +356,21 @@ def test_render_bytes_are_pinned_on_a_sweep():
     assert tilings == 1170
     assert digest.hexdigest() == (
         "fcfee2c56b1ebb881ee25d75c26edd3ebf58afe8a2a2a0691e4c8507340da72d")
+
+
+def test_extension_bytes_are_pinned_on_every_sides_2_tuple():
+    # one sha256 over the rendered extension of the first tiling of each
+    # of the 729 tuples with sides <= 2; the border strips depend on the
+    # tuple alone, so this pins every strip layout with sides <= 2
+    digest = hashlib.sha256()
+    tuples = 0
+    for p in all_tuples(2):
+        tiling = paths_to_tiling(next(iter_path_families(p)))
+        digest.update(render_svg(extend_to_full_hexagon(tiling)).encode())
+        tuples += 1
+    assert tuples == 729
+    assert digest.hexdigest() == (
+        "c2a432974c111b94c5f86349ea3b6bf12417693d4ee6eb48e919656993a434a6")
 
 
 def test_quad_corner_table_matches_the_cell_vertices():
