@@ -18,6 +18,12 @@ sort and hash as tuples do.  Each is validated when it is constructed:
 a cell's orientation is 'up' or 'down', and a tile's cells are an
 adjacent down/up pair.
 
+A Tiling holds one lean code per entry of its region's sorted down
+cells (0 flat, 1 rising, 2 falling) and derives its tiles on demand.
+The bijections, extension and renderer work on the codes alone, through
+per-column tables of (lowest, highest, base) that give a position's
+index as base + height in O(columns) memory.
+
 Two regions matter here.  The working region is a hexagon with side
 lengths a, c+3, b, a+3, c, b+3 (clockwise from the top side) minus one
 up cell on each of the three long sides; the removed cells sit at
@@ -39,12 +45,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, pairwise
+from itertools import chain, groupby, pairwise
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .closedform import HexagonParams, _as_params
-from .lgv import LatticePoint, build_point_configuration
+from .lgv import LatticePoint, PointConfiguration, build_point_configuration
 from .oracle import MonotonePath, PathFamily, PlanePartition
+
+_Table = dict[int, tuple[int, int, int]]  # see _column_table
 
 UP = "up"
 DOWN = "down"
@@ -81,6 +90,9 @@ class TriCell(_CellFields):
 
 
 _PARTNER_OFFSETS = {(1, 0): FLAT, (0, 0): RISING, (0, 1): FALLING}
+# Lean code k is _LEANS[k]: the up cell sits _OFFSETS[k] from the down cell.
+_OFFSETS = tuple(_PARTNER_OFFSETS)
+_LEANS = tuple(_PARTNER_OFFSETS.values())
 
 
 class _TileFields(NamedTuple):
@@ -143,23 +155,39 @@ class Region:
         return header, min(xs) - margin, max(ys) + margin
 
     @cached_property
-    def _border_tiles(self) -> tuple[Tile, ...]:
-        """A full hexagon's tiles outside the working region, sorted: the
-        path-step rule along the border walks.  Path 0 comes down t steps
-        from (-1, c+2) and steps right onto P_0 (the t notch); path a+1
-        takes b+2-s right steps from (a, a+c+3) and steps down onto
-        P_{a+1} (the s notch); path i leaves Q_i by a right step if
-        i < r, else by a down step, so the r notch gets a falling tile."""
+    def _config(self) -> PointConfiguration:
+        """The path end points P_i and Q_i of the region's parameters."""
+        return build_point_configuration(*self.params.astuple())
+
+    @cached_property
+    def _tables(self) -> tuple[_Table, tuple[_Table, int, tuple[int, ...]]]:
+        """Column tables: of the down cells by the vertex (u+1, u+v+c+5)
+        where a path crosses D(u, v), and of the up cells by (u, v), with
+        the number of their positions and the holes (the t notch)."""
+        c5 = self.params.c + 5
+        return (_column_table((u + 1, u + v + c5) for u, v, _ in self.down_cells)[0],
+                _column_table(sorted(c[:2] for c in self.cells if c.orientation == UP)))
+
+    @cached_property
+    def _border(self) -> tuple[bytes, tuple[tuple[int, int, int], ...]]:
+        """A full hexagon's codes outside the working region, and the
+        (start, stop, to) spans that copy the working codes [start:stop]
+        into it at to, one per column.  The border codes are the path-step
+        rule along the border walks.  Path 0 comes down t steps from
+        (-1, c+2) and steps right onto P_0 (the t notch); path a+1 takes
+        b+2-s right steps from (a, a+c+3) and steps down onto P_{a+1}
+        (the s notch); path i leaves Q_i by a right step if i < r, else by
+        a down step, so the r notch gets a falling tile."""
         a, b, c, r, s, t = self.params.astuple()
-        cfg = build_point_configuration(a, b, c, r, s, t)
-        first, last = cfg.starts[0], cfg.starts[-1]
+        work = build_region(self.params)
+        first, last = work._config.starts[0], work._config.starts[-1]
         walks = [[LatticePoint(-1, c + 2 - k) for k in range(t + 1)] + [first],
                  [LatticePoint(a + k, a + c + 3) for k in range(b + 3 - s)] + [last]]
         walks += [(q, LatticePoint(q.x + 1, q.y) if i < r else
-                   LatticePoint(q.x, q.y - 1)) for i, q in enumerate(cfg.ends)]
-        strip = self.cells - build_region(self.params).cells
-        return _lay_tiles(sorted(cell for cell in strip if cell.orientation == DOWN),
-                          walks, c)
+                   LatticePoint(q.x, q.y - 1)) for i, q in enumerate(work._config.ends)]
+        spans = tuple((base + lo, base + hi + 1, self._tables[0][x][2] + lo)
+                      for x, (lo, hi, base) in work._tables[0].items())
+        return bytes(_lay_tiles(self, walks)), spans
 
 
 def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
@@ -212,61 +240,98 @@ def build_full_region(p: HexagonParams | Sequence[int]) -> Region:
     return _build_region_cached(_as_params(p), "full")
 
 
-@dataclass(frozen=True)
+def _column_table(points: Iterable[tuple[int, int]]
+                  ) -> tuple[_Table, int, tuple[int, ...]]:
+    """Index points sorted by (x, y): {x: (lowest y, highest y, base)},
+    where base + y counts the positions of the earlier columns' ranges.
+    Also returns the number of positions and those holding no point."""
+    table, size, holes = {}, 0, []
+    for x, column in groupby(points, key=itemgetter(0)):
+        ys = {y for _, y in column}
+        lo, hi = min(ys), max(ys)
+        table[x] = (lo, hi, size - lo)
+        holes += [size - lo + y for y in range(lo, hi + 1) if y not in ys]
+        size += hi - lo + 1
+    return table, size, tuple(holes)
+
+
+@dataclass(frozen=True, init=False)
 class Tiling:
-    """A rhombus tiling of a region.  Tiles must be sorted and must
-    partition the region's cells exactly."""
+    """A rhombus tiling of a region, as one lean code per entry of
+    region.down_cells.  Tiling(region, tiles) is the public constructor:
+    tiles must be sorted and must partition the region's cells exactly."""
 
     region: Region
-    tiles: tuple[Tile, ...]
+    leans: bytes
 
-    def __post_init__(self) -> None:
-        if list(self.tiles) != sorted(self.tiles):
+    def __init__(self, region: Region, tiles: Sequence[Tile]) -> None:
+        if list(tiles) != sorted(tiles):
             raise ValueError("tiles must be listed in sorted order")
-        cells = self.region.cells
-        covered = set(chain.from_iterable(self.tiles))
-        if covered != cells or 2 * len(self.tiles) != len(cells):
+        cells = region.cells
+        covered = set(chain.from_iterable(tiles))
+        if covered != cells or 2 * len(tiles) != len(cells):
             twice = [cell for cell, k in
-                     Counter(chain.from_iterable(self.tiles)).items() if k > 1]
+                     Counter(chain.from_iterable(tiles)).items() if k > 1]
             raise ValueError(
                 f"tiles do not partition the region "
                 f"(extra {sorted(covered - cells)[:3]}, "
                 f"missing {sorted(cells - covered)[:3]}, "
                 f"covered twice {sorted(twice)[:3]})"
             )
+        leans = bytes(_LEANS.index(tile.lean) for tile in tiles)
+        vars(self).update(region=region, leans=leans)
+
+    @classmethod
+    def _from_leans(cls, region: Region, leans: bytes | bytearray) -> Tiling:
+        """The internal builders' constructor, with no tiles and no sort.
+        A transient bytearray checks that the codes (one 0, 1 or 2 per
+        down cell) pair the down cells with the region's up cells one to
+        one; the holes start covered, so no code may pair with them."""
+        table, size, holes = region._tables[1]
+        cover = bytearray(size)
+        for i in holes:
+            cover[i] = 1
+        if len(leans) == len(region.down_cells) and max(leans, default=0) < 3:
+            for (u, v, _), code in zip(region.down_cells, leans):
+                du, dv = _OFFSETS[code]
+                lo, hi, base = table.get(u + du, (1, 0, 0))  # no column: empty
+                if not lo <= v + dv <= hi:
+                    break
+                cover[base + v + dv] += 1
+            else:
+                if cover.count(1) == size:
+                    tiling = object.__new__(cls)
+                    vars(tiling).update(region=region, leans=bytes(leans))
+                    return tiling
+        raise ValueError("lean codes do not partition the region")
+
+    @cached_property
+    def tiles(self) -> tuple[Tile, ...]:
+        """The tiles in sorted order, derived from the codes."""
+        return tuple(Tile(down, TriCell(down.u + du, down.v + dv, UP))
+                     for down, (du, dv) in zip(self.region.down_cells,
+                                               map(_OFFSETS.__getitem__, self.leans)))
 
 
-def _entry_cell(pos: LatticePoint, c: int) -> TriCell:
-    # The down cell a path at (x, y) is about to cross.
-    return TriCell(pos.x - 1, pos.y - pos.x - c - 4, DOWN)
-
-
-def _lay_tiles(down_cells: Iterable[TriCell],
-               walks: Iterable[Sequence[LatticePoint]], c: int) -> tuple[Tile, ...]:
-    """The path-step rule: each step of each walk lays one tile on the
-    down cell it crosses, pairing it with the up cell ahead of a right
-    step (flat tile) or behind a down step (rising tile).  Every other
-    down cell is paired with the up cell above it (falling tile).  The
-    tiles come out in the order of down_cells."""
-    partner: dict[TriCell, TriCell] = {}
+def _lay_tiles(region: Region, walks: Iterable[Sequence[LatticePoint]]) -> bytearray:
+    """The path-step rule: each step of each walk codes the down cell it
+    crosses flat ahead of a right step and rising behind a down step (the
+    code is the step's drop).  Every other down cell is falling."""
+    entries = region._tables[0]
+    leans = bytearray(b"\2") * len(region.down_cells)
     for walk in walks:
-        for pos, nxt in pairwise(walk):
-            down = _entry_cell(pos, c)
-            partner[down] = TriCell(nxt.x - 1, down.v, UP)
-    return tuple(
-        Tile(down, partner.get(down) or TriCell(down.u, down.v + 1, UP))
-        for down in down_cells)
+        for (x, y), nxt in pairwise(walk):
+            leans[entries[x][2] + y] = y - nxt.y
+    return leans
 
 
 def paths_to_tiling(family: PathFamily) -> Tiling:
     """Tiling of the working region encoded by a nonintersecting family:
-    the path-step rule (_lay_tiles) along its paths.  Taking the
-    region's down cells in sorted order lists the tiles sorted.
-    """
+    the path-step rule (_lay_tiles) along its paths."""
     cfg = family.config
     region = build_region((cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t))
-    return Tiling(region, _lay_tiles(
-        region.down_cells, (path.vertices for path in family.paths), cfg.c))
+    return Tiling._from_leans(region, _lay_tiles(
+        region, (path.vertices for path in family.paths)))
 
 
 def _trace_paths(
@@ -275,23 +340,18 @@ def _trace_paths(
     """Follow one path per (start, end) pair across the tiling: a flat
     tile is a right step, a rising tile a down step, and a path stops
     where it leaves the region."""
-    c = tiling.region.params.c
-    cells = tiling.region.cells
-    by_down_cell = {tile.down: tile for tile in tiling.tiles}
+    entries, leans = tiling.region._tables[0], tiling.leans
     paths = []
     for start, end in endpoints:
-        pos = start
-        vertices = [pos]
-        while (down := _entry_cell(pos, c)) in cells:
-            lean = by_down_cell[down].lean
-            if lean == FLAT:
-                pos = LatticePoint(pos.x + 1, pos.y)
-            elif lean == RISING:
-                pos = LatticePoint(pos.x, pos.y - 1)
-            else:
-                raise ValueError(f"falling tile blocks the path at {pos}")
-            vertices.append(pos)
-        if pos != end:
+        x, y = start
+        vertices = [start]
+        while (column := entries.get(x)) and column[0] <= y <= column[1]:
+            code = leans[column[2] + y]
+            if code == 2:
+                raise ValueError(f"falling tile blocks the path at {vertices[-1]}")
+            x, y = x + 1 - code, y - code
+            vertices.append(LatticePoint(x, y))
+        if (pos := vertices[-1]) != end:
             raise ValueError(f"path from {start} ends at {pos}, expected {end}")
         paths.append(MonotonePath(tuple(vertices)))
     return paths
@@ -301,22 +361,26 @@ def tiling_to_paths(tiling: Tiling) -> PathFamily:
     """Inverse of paths_to_tiling.  Requires a working-region tiling."""
     if tiling.region.kind != "notched":
         raise ValueError("path extraction needs a working-region tiling")
-    cfg = build_point_configuration(*tiling.region.params.astuple())
+    cfg = tiling.region._config
     return PathFamily(cfg, tuple(_trace_paths(tiling, zip(cfg.starts, cfg.ends))))
 
 
 def extend_to_full_hexagon(tiling: Tiling) -> Tiling:
     """Extend a working-region tiling to the full hexagon.
 
-    The border strips are forced: Region._border_tiles lays them once
+    The border strips are forced: Region._border lays their codes once
     per full region by the path-step rule along three border walks, and
-    the tiles on the notch cells are the fixed border tiles.  Both tile
-    lists are sorted, so the sort merges two runs.
+    the tiles on the notch cells are the fixed border tiles.  The working
+    codes are copied into that template column by column, with no sort.
     """
     if tiling.region.kind != "notched":
         raise ValueError("extension needs a working-region tiling")
     full = build_full_region(tiling.region.params)
-    return Tiling(full, tuple(sorted(tiling.tiles + full._border_tiles)))
+    template, spans = full._border
+    leans = bytearray(template)
+    for start, stop, to in spans:
+        leans[to:to + stop - start] = tiling.leans[start:stop]
+    return Tiling._from_leans(full, leans)
 
 
 def tiling_to_plane_partition(tiling: Tiling) -> PlanePartition:
@@ -356,6 +420,7 @@ _QUAD_CORNERS = {
     FALLING: ((1, 0), (0, 1), (0, 2), (1, 1)),
 }
 _FILL = {FLAT: "#9e9e9e", RISING: "#cfcfcf", FALLING: "#ffffff"}
+_SHAPES = tuple((_QUAD_CORNERS[lean], _FILL[lean]) for lean in _LEANS)
 
 
 def render_svg(target: Tiling | Region) -> str:
@@ -369,8 +434,8 @@ def render_svg(target: Tiling | Region) -> str:
     """
     if isinstance(target, Tiling):
         region = target.region
-        shapes = [(tile.down.u, tile.down.v, _QUAD_CORNERS[lean], _FILL[lean])
-                  for tile in target.tiles for lean in (tile.lean,)]
+        shapes = [(u, v, *_SHAPES[code]) for (u, v, _), code
+                  in zip(region.down_cells, target.leans)]
     else:  # a cell's vertices are its corners' offsets from (0, 0)
         region = target
         shapes = [(0, 0, cell.vertices(), _FILL[FALLING])

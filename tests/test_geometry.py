@@ -151,6 +151,56 @@ def test_tiling_must_partition_region():
         Tiling(tiling.region, tuple(reversed(tiling.tiles)))
 
 
+def test_derived_tiles_are_pinned_and_rebuild_the_tiling():
+    # one sha256 over repr(tiling.tiles) of every working tiling with
+    # sides <= 1 and of its extension (930 of each), taken when tilings
+    # still stored their tiles; the public constructor, given those
+    # tiles, rebuilds an equal tiling
+    digest = hashlib.sha256()
+    tilings = 0
+    for p in all_tuples(1):
+        for family in iter_path_families(p):
+            tiling = paths_to_tiling(family)
+            extended = extend_to_full_hexagon(tiling)
+            for t in (tiling, extended):
+                digest.update(repr(t.tiles).encode())
+                assert Tiling(t.region, t.tiles) == t
+            tilings += 1
+    assert tilings == 930
+    assert digest.hexdigest() == (
+        "53fb42e89dd3d646e6b33e35dad3c79cf8700d056a17fddb7807f407dcdcf5b7")
+
+
+def test_internal_constructor_checks_the_partition():
+    tiling = paths_to_tiling(worked_example_family())
+    region, leans = tiling.region, tiling.leans
+    assert Tiling._from_leans(region, leans) == tiling
+    # changing any one code uncovers the up cell it paired with
+    for i, code in enumerate(leans):
+        for other in {0, 1, 2} - {code}:
+            flipped = leans[:i] + bytes([other]) + leans[i + 1:]
+            with pytest.raises(ValueError, match="partition"):
+                Tiling._from_leans(region, flipped)
+    for bad in (leans[:-1], leans + b"\2", leans[:-1] + b"\3"):
+        with pytest.raises(ValueError, match="partition"):
+            Tiling._from_leans(region, bad)
+
+
+def test_column_tables_index_every_down_cell_once():
+    # a path at vertex (x, y) crosses the down cell D(x-1, y-x-c-4); the
+    # table of each region gives that cell's index in down_cells
+    for p in all_tuples(2):
+        for region in (build_region(p), build_full_region(p)):
+            entries = region._tables[0]
+            indices = sorted(base + y for lo, hi, base in entries.values()
+                             for y in range(lo, hi + 1))
+            assert indices == list(range(len(region.down_cells)))
+            for i, (u, v, _) in enumerate(region.down_cells):
+                x, y = u + 1, v + u + 1 + p[2] + 4
+                lo, hi, base = entries[x]
+                assert lo <= y <= hi and base + y == i
+
+
 def test_round_trip_worked_example():
     family = worked_example_family()
     tiling = paths_to_tiling(family)
