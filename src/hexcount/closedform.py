@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from .exact import ExactInt, Exponents
 from . import lgv
 from .lgv import det_elimination, minor, validate_parameters, \
-    verify_desnanot_jacobi
+    validate_sides, verify_desnanot_jacobi
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,7 @@ def count_macmahon_box(a: int, b: int, c: int) -> ExactInt:
     0! 1! ... (n-1)!, with the convention that an empty product (any
     side 0) gives 1.
     """
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        if value < 0:
-            raise ValueError(f"side {name} must be >= 0, got {value}")
+    validate_sides(a, b, c)
     x = Exponents()
     for n, e in ((a, 1), (b, 1), (c, 1), (a + b + c, 1),
                  (a + b, -1), (b + c, -1), (a + c, -1)):

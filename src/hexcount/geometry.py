@@ -19,10 +19,11 @@ a cell's orientation is 'up' or 'down', and a tile's cells are an
 adjacent down/up pair.
 
 A Tiling holds one lean code per entry of its region's sorted down
-cells (0 flat, 1 rising, 2 falling) and derives its tiles on demand.
+cells (0 flat, 1 rising, 2 falling) and derives its tiles on demand;
+both constructors check the codes by one set test against region.cells.
 The bijections, extension and renderer work on the codes alone, through
-per-column tables of (lowest, highest, base) that give a position's
-index as base + height in O(columns) memory.
+one per-column table of the down cells, (lowest, highest, base), that
+gives a down cell's index as base + height in O(columns) memory.
 
 Two regions matter here.  The working region is a hexagon with side
 lengths a, c+3, b, a+3, c, b+3 (clockwise from the top side) minus one
@@ -42,18 +43,14 @@ the full hexagon are read off as plane partitions in the (a+2) x
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, groupby, pairwise
-from operator import itemgetter
+from itertools import pairwise
 from typing import Iterable, NamedTuple, Sequence
 
 from .closedform import HexagonParams, _as_params
 from .lgv import LatticePoint, PointConfiguration, build_point_configuration
 from .oracle import MonotonePath, PathFamily, PlanePartition
-
-_Table = dict[int, tuple[int, int, int]]  # see _column_table
 
 UP = "up"
 DOWN = "down"
@@ -160,13 +157,16 @@ class Region:
         return build_point_configuration(*self.params.astuple())
 
     @cached_property
-    def _tables(self) -> tuple[_Table, tuple[_Table, int, tuple[int, ...]]]:
-        """Column tables: of the down cells by the vertex (u+1, u+v+c+5)
-        where a path crosses D(u, v), and of the up cells by (u, v), with
-        the number of their positions and the holes (the t notch)."""
-        c5 = self.params.c + 5
-        return (_column_table((u + 1, u + v + c5) for u, v, _ in self.down_cells)[0],
-                _column_table(sorted(c[:2] for c in self.cells if c.orientation == UP)))
+    def _tables(self) -> dict[int, tuple[int, int, int]]:
+        """The down-cell table {x: (lowest y, highest y, base)}: a path at
+        vertex (x, y) = (u+1, u+v+c+5) crosses D(u, v) = down_cells[base
+        + y]; a column's down cells are consecutive there and in y."""
+        c5, table = self.params.c + 5, {}
+        for i, (u, v, _) in enumerate(self.down_cells):
+            y = u + v + c5
+            lo, _, base = table.get(u + 1, (y, y, i - y))
+            table[u + 1] = (lo, y, base)
+        return table
 
     @cached_property
     def _border(self) -> tuple[bytes, tuple[tuple[int, int, int], ...]]:
@@ -185,8 +185,8 @@ class Region:
                  [LatticePoint(a + k, a + c + 3) for k in range(b + 3 - s)] + [last]]
         walks += [(q, LatticePoint(q.x + 1, q.y) if i < r else
                    LatticePoint(q.x, q.y - 1)) for i, q in enumerate(work._config.ends)]
-        spans = tuple((base + lo, base + hi + 1, self._tables[0][x][2] + lo)
-                      for x, (lo, hi, base) in work._tables[0].items())
+        spans = tuple((base + lo, base + hi + 1, self._tables[x][2] + lo)
+                      for x, (lo, hi, base) in work._tables.items())
         return bytes(_lay_tiles(self, walks)), spans
 
 
@@ -206,11 +206,13 @@ def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
 
 
 @lru_cache(maxsize=None)
-def _build_region_cached(p: HexagonParams, kind: str) -> Region:
+def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
     # The cells whose vertices satisfy -1 <= x <= a+b+2, -b-c-3 <= y <= 0
     # and -c-4 <= x+y <= a-1, minus the notches.  The full hexagon reaches
     # one lattice step further on the lower bounds of x and y and on the
-    # upper bound of x+y, and keeps the notches.
+    # upper bound of x+y, and keeps the notches.  Keyed on the plain
+    # 6-tuple, so paths_to_tiling's hits build no HexagonParams.
+    p = HexagonParams(*key)
     a, b, c = p.a, p.b, p.c
     step = 1 if kind == "full" else 0
     x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
@@ -232,27 +234,25 @@ def _build_region_cached(p: HexagonParams, kind: str) -> Region:
 
 def build_region(p: HexagonParams | Sequence[int]) -> Region:
     """The working region: the notched hexagon that the path families tile."""
-    return _build_region_cached(_as_params(p), "notched")
+    return _build_region_cached(_as_params(p).astuple(), "notched")
 
 
 def build_full_region(p: HexagonParams | Sequence[int]) -> Region:
     """The full a+2, c+2, b+2, a+2, c+2, b+2 hexagon."""
-    return _build_region_cached(_as_params(p), "full")
+    return _build_region_cached(_as_params(p).astuple(), "full")
 
 
-def _column_table(points: Iterable[tuple[int, int]]
-                  ) -> tuple[_Table, int, tuple[int, ...]]:
-    """Index points sorted by (x, y): {x: (lowest y, highest y, base)},
-    where base + y counts the positions of the earlier columns' ranges.
-    Also returns the number of positions and those holding no point."""
-    table, size, holes = {}, 0, []
-    for x, column in groupby(points, key=itemgetter(0)):
-        ys = {y for _, y in column}
-        lo, hi = min(ys), max(ys)
-        table[x] = (lo, hi, size - lo)
-        holes += [size - lo + y for y in range(lo, hi + 1) if y not in ys]
-        size += hi - lo + 1
-    return table, size, tuple(holes)
+def _partitions(region: Region, leans: bytes | bytearray) -> bool:
+    """Whether the codes, one 0, 1 or 2 per down cell, pair the down cells
+    one to one with the region's up cells: as many up cells as down
+    cells, and distinct partner up cells, all in region.cells."""
+    downs = region.down_cells
+    if (len(leans) != len(downs) or max(leans, default=0) > 2
+            or len(region.cells) != 2 * len(downs)):
+        return False
+    ups = {(u + _OFFSETS[k][0], v + _OFFSETS[k][1], UP)
+           for (u, v, _), k in zip(downs, leans)}
+    return len(ups) == len(downs) and ups <= region.cells
 
 
 @dataclass(frozen=True, init=False)
@@ -267,43 +267,21 @@ class Tiling:
     def __init__(self, region: Region, tiles: Sequence[Tile]) -> None:
         if list(tiles) != sorted(tiles):
             raise ValueError("tiles must be listed in sorted order")
-        cells = region.cells
-        covered = set(chain.from_iterable(tiles))
-        if covered != cells or 2 * len(tiles) != len(cells):
-            twice = [cell for cell, k in
-                     Counter(chain.from_iterable(tiles)).items() if k > 1]
-            raise ValueError(
-                f"tiles do not partition the region "
-                f"(extra {sorted(covered - cells)[:3]}, "
-                f"missing {sorted(cells - covered)[:3]}, "
-                f"covered twice {sorted(twice)[:3]})"
-            )
         leans = bytes(_LEANS.index(tile.lean) for tile in tiles)
+        if ([tile.down for tile in tiles] != list(region.down_cells)
+                or not _partitions(region, leans)):
+            raise ValueError("tiles do not partition the region")
         vars(self).update(region=region, leans=leans)
 
     @classmethod
     def _from_leans(cls, region: Region, leans: bytes | bytearray) -> Tiling:
-        """The internal builders' constructor, with no tiles and no sort.
-        A transient bytearray checks that the codes (one 0, 1 or 2 per
-        down cell) pair the down cells with the region's up cells one to
-        one; the holes start covered, so no code may pair with them."""
-        table, size, holes = region._tables[1]
-        cover = bytearray(size)
-        for i in holes:
-            cover[i] = 1
-        if len(leans) == len(region.down_cells) and max(leans, default=0) < 3:
-            for (u, v, _), code in zip(region.down_cells, leans):
-                du, dv = _OFFSETS[code]
-                lo, hi, base = table.get(u + du, (1, 0, 0))  # no column: empty
-                if not lo <= v + dv <= hi:
-                    break
-                cover[base + v + dv] += 1
-            else:
-                if cover.count(1) == size:
-                    tiling = object.__new__(cls)
-                    vars(tiling).update(region=region, leans=bytes(leans))
-                    return tiling
-        raise ValueError("lean codes do not partition the region")
+        """The internal builders' constructor, with no tiles and no sort:
+        the same check as the public one, _partitions, on the codes."""
+        if not _partitions(region, leans):
+            raise ValueError("lean codes do not partition the region")
+        tiling = object.__new__(cls)
+        vars(tiling).update(region=region, leans=bytes(leans))
+        return tiling
 
     @cached_property
     def tiles(self) -> tuple[Tile, ...]:
@@ -317,7 +295,7 @@ def _lay_tiles(region: Region, walks: Iterable[Sequence[LatticePoint]]) -> bytea
     """The path-step rule: each step of each walk codes the down cell it
     crosses flat ahead of a right step and rising behind a down step (the
     code is the step's drop).  Every other down cell is falling."""
-    entries = region._tables[0]
+    entries = region._tables
     leans = bytearray(b"\2") * len(region.down_cells)
     for walk in walks:
         for (x, y), nxt in pairwise(walk):
@@ -329,7 +307,7 @@ def paths_to_tiling(family: PathFamily) -> Tiling:
     """Tiling of the working region encoded by a nonintersecting family:
     the path-step rule (_lay_tiles) along its paths."""
     cfg = family.config
-    region = build_region((cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t))
+    region = _build_region_cached((cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t), "notched")
     return Tiling._from_leans(region, _lay_tiles(
         region, (path.vertices for path in family.paths)))
 
@@ -340,7 +318,7 @@ def _trace_paths(
     """Follow one path per (start, end) pair across the tiling: a flat
     tile is a right step, a rising tile a down step, and a path stops
     where it leaves the region."""
-    entries, leans = tiling.region._tables[0], tiling.leans
+    entries, leans = tiling.region._tables, tiling.leans
     paths = []
     for start, end in endpoints:
         x, y = start

@@ -41,6 +41,13 @@ class LatticePoint(NamedTuple):
     y: int
 
 
+def validate_sides(a: int, b: int, c: int) -> None:
+    """Check that the sides a, b, c are nonnegative, naming the offender."""
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if value < 0:
+            raise ValueError(f"side {name} must be >= 0, got {value}")
+
+
 def validate_parameters(a: int, b: int, c: int, r: int, s: int, t: int) -> None:
     """Check the hexagon side and border positions, naming the offender.
 
@@ -49,9 +56,7 @@ def validate_parameters(a: int, b: int, c: int, r: int, s: int, t: int) -> None:
     which of the candidate border cells along one hexagon side carries
     the fixed tile.
     """
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        if value < 0:
-            raise ValueError(f"side {name} must be >= 0, got {value}")
+    validate_sides(a, b, c)
     for name, value, hi in (("r", r, a + 2), ("s", s, b + 2), ("t", t, c + 2)):
         if not 1 <= value <= hi:
             raise ValueError(f"position {name} must be in 1..{hi}, got {value}")

@@ -20,7 +20,8 @@ from typing import Callable, Iterator, Sequence
 
 from .closedform import HexagonParams, _as_params
 from .exact import ExactInt
-from .lgv import LatticePoint, PointConfiguration, build_point_configuration
+from .lgv import LatticePoint, PointConfiguration, build_point_configuration, \
+    validate_sides
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "HEXCOUNT_BUDGET"
@@ -295,9 +296,7 @@ def enumerate_plane_partitions_box(
     from min(above, left) down to 0, so the arrays come in
     lexicographically decreasing order, read row by row.  The fill has no
     depth limit."""
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        if value < 0:
-            raise ValueError(f"side {name} must be >= 0, got {value}")
+    validate_sides(a, b, c)
     tracker = _resolve_budget(budget)
     if a == 0 or b == 0:
         if emit is not None:

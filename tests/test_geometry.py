@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexcount.closedform import HexagonParams, count_theorem1
+from hexcount.closedform import HexagonParams, all_params, count_theorem1
 from hexcount.geometry import (
     _QUAD_CORNERS,
     FALLING,
@@ -48,13 +48,6 @@ def worked_example_family():
             path((3, 5), (4, 5), (5, 5), (5, 4)),
         ),
     )
-
-
-def all_tuples(side):
-    """Every parameter tuple with sides a, b, c <= side."""
-    for a, b, c in itertools.product(range(side + 1), repeat=3):
-        yield from itertools.product([a], [b], [c], range(1, a + 3),
-                                     range(1, b + 3), range(1, c + 3))
 
 
 # --------------------------------------------------------------------- cells
@@ -158,7 +151,7 @@ def test_derived_tiles_are_pinned_and_rebuild_the_tiling():
     # tiles, rebuilds an equal tiling
     digest = hashlib.sha256()
     tilings = 0
-    for p in all_tuples(1):
+    for p in all_params(1, 1, 1):
         for family in iter_path_families(p):
             tiling = paths_to_tiling(family)
             extended = extend_to_full_hexagon(tiling)
@@ -169,6 +162,30 @@ def test_derived_tiles_are_pinned_and_rebuild_the_tiling():
     assert tilings == 930
     assert digest.hexdigest() == (
         "53fb42e89dd3d646e6b33e35dad3c79cf8700d056a17fddb7807f407dcdcf5b7")
+
+
+def test_public_constructor_refuses_every_non_partition():
+    tiling = paths_to_tiling(worked_example_family())
+    region, tiles = tiling.region, tiling.tiles
+    # one tile moved to another adjacent up cell: that cell is covered
+    # twice or lies outside the region, and one up cell is left bare
+    for i, tile in enumerate(tiles):
+        u, v = tile.down.u, tile.down.v
+        for du, dv in {(1, 0), (0, 0), (0, 1)} - {(tile.up.u - u, tile.up.v - v)}:
+            moved = Tile(tile.down, TriCell(u + du, v + dv, "up"))
+            with pytest.raises(ValueError, match="partition"):
+                Tiling(region, tiles[:i] + (moved,) + tiles[i + 1:])
+    # one tile listed twice and the next one missing
+    for i in range(len(tiles) - 1):
+        with pytest.raises(ValueError, match="partition"):
+            Tiling(region, tiles[:i + 1] + tiles[i:i + 1] + tiles[i + 2:])
+    # a region with one more up cell than the tiles can cover
+    wider = Region(region.kind, region.params,
+                   region.cells | {TriCell(-5, 0, "up")})
+    with pytest.raises(ValueError, match="partition"):
+        Tiling(wider, tiles)
+    with pytest.raises(ValueError, match="partition"):
+        Tiling._from_leans(wider, tiling.leans)
 
 
 def test_internal_constructor_checks_the_partition():
@@ -189,9 +206,9 @@ def test_internal_constructor_checks_the_partition():
 def test_column_tables_index_every_down_cell_once():
     # a path at vertex (x, y) crosses the down cell D(x-1, y-x-c-4); the
     # table of each region gives that cell's index in down_cells
-    for p in all_tuples(2):
+    for p in all_params(2, 2, 2):
         for region in (build_region(p), build_full_region(p)):
-            entries = region._tables[0]
+            entries = region._tables
             indices = sorted(base + y for lo, hi, base in entries.values()
                              for y in range(lo, hi + 1))
             assert indices == list(range(len(region.down_cells)))
@@ -275,7 +292,7 @@ def test_full_hexagon_paths_are_the_working_paths_with_border_walks():
     # P_0, path a+1 right along the top then down onto P_{a+1}, and every
     # path one step on from Q_i
     tilings = 0
-    for p in all_tuples(1):
+    for p in all_params(1, 1, 1):
         a, b, c = p[:3]
         ends = [(LatticePoint(k - 1, c + k + 2), LatticePoint(b + 1 + k, k))
                 for k in range(a + 2)]
@@ -289,7 +306,7 @@ def test_full_hexagon_paths_are_the_working_paths_with_border_walks():
             extended = extend_to_full_hexagon(paths_to_tiling(family))
             assert _trace_paths(extended, ends) == expected
             tilings += 1
-    assert tilings == sum(count_theorem1(p) for p in all_tuples(1)) == 930
+    assert tilings == sum(count_theorem1(p) for p in all_params(1, 1, 1)) == 930
 
 
 def test_wrong_region_kinds_are_rejected():
@@ -414,7 +431,7 @@ def test_extension_bytes_are_pinned_on_every_sides_2_tuple():
     # tuple alone, so this pins every strip layout with sides <= 2
     digest = hashlib.sha256()
     tuples = 0
-    for p in all_tuples(2):
+    for p in all_params(2, 2, 2):
         tiling = paths_to_tiling(next(iter_path_families(p)))
         digest.update(render_svg(extend_to_full_hexagon(tiling)).encode())
         tuples += 1
