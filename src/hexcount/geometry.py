@@ -49,7 +49,7 @@ from itertools import pairwise
 from typing import Iterable, NamedTuple, Sequence
 
 from .closedform import HexagonParams, _as_params
-from .lgv import LatticePoint, PointConfiguration, build_point_configuration
+from .lgv import LatticePoint, PointConfiguration, _point, build_point_configuration
 from .oracle import MonotonePath, PathFamily, PlanePartition
 
 UP = "up"
@@ -328,7 +328,7 @@ def _trace_paths(
             if code == 2:
                 raise ValueError(f"falling tile blocks the path at {vertices[-1]}")
             x, y = x + 1 - code, y - code
-            vertices.append(LatticePoint(x, y))
+            vertices.append(_point((x, y)))
         if (pos := vertices[-1]) != end:
             raise ValueError(f"path from {start} ends at {pos}, expected {end}")
         paths.append(MonotonePath(tuple(vertices)))

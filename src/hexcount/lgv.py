@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import ExactInt, binomial
@@ -39,6 +40,9 @@ from .exact import ExactInt, binomial
 class LatticePoint(NamedTuple):
     x: int
     y: int
+
+
+_point = partial(tuple.__new__, LatticePoint)  # from (x, y), with no Python-level call
 
 
 def validate_sides(a: int, b: int, c: int) -> None:

@@ -6,10 +6,10 @@ directly, the other enumerates plane partitions in a box, optionally
 restricted to the boundary pattern that encodes the three fixed border
 tiles.  Both are deterministic (fixed visit order) and budgeted: every
 search-tree node expansion spends one unit, and exceeding the budget
-raises rather than returning a partial count.  Neither search recurses,
-so neither has a depth limit: the path search keeps an explicit stack,
-and the plane-partition fill needs no stack at all, so a family may
-have any number of vertices and an array any number of cells.
+raises rather than returning a partial count.  Each loop keeps its node
+count in a local, written to ``Budget.used`` before every yield or emit,
+on exhaustion and on the raise.  Neither search recurses, so neither has
+a depth limit: the path search keeps an explicit stack, the fill none.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Callable, Iterator, Sequence
 
 from .closedform import HexagonParams, _as_params
 from .exact import ExactInt
-from .lgv import LatticePoint, PointConfiguration, build_point_configuration, \
-    validate_sides
+from .lgv import LatticePoint, PointConfiguration, _point, \
+    build_point_configuration, validate_sides
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "HEXCOUNT_BUDGET"
@@ -148,45 +148,54 @@ def _path_search(
 ) -> Iterator[PathFamily | None]:
     """Depth-first search on an explicit stack, with no depth limit; yields
     each family, or None for each when ``build`` is false.  A stack entry
-    is (walk length before the vertex, path index, vertex), where the walk
+    is (walk length before the vertex, path index, (x, y)), where the walk
     holds the vertices of every path so far; popping one truncates the
-    walk, ``occupied`` and the finished paths back to it."""
+    walk, ``occupied`` and the finished paths back to it.  The node count
+    is a local, written to ``Budget.used`` before each yield (and read
+    back after it), on exhaustion and on the raise."""
     config = p if isinstance(p, PointConfiguration) else (
         build_point_configuration(*_as_params(p).astuple()))
     tracker = _resolve_budget(budget)
-    starts, ends = config.starts, config.ends
-    walk: list[LatticePoint] = []
-    occupied: set[LatticePoint] = set()
-    first = [0] * config.size  # walk position where each path begins
+    starts, ends = [tuple(q) for q in config.starts], [tuple(q) for q in config.ends]
+    size, used, limit = config.size, tracker.used, tracker.limit
+    walk: list[tuple[int, int]] = []
+    occupied: set[tuple[int, int]] = set()
+    first = [0] * size  # walk position where each path begins
     paths: list[MonotonePath] = []
     stack = [(0, 0, starts[0])]
+    pop, push, occupy = stack.pop, stack.append, occupied.add
     while stack:
-        length, index, point = stack.pop()
+        length, index, point = pop()
         if len(walk) > length:  # backtrack
             occupied.difference_update(walk[length:])
             del walk[length:], paths[index:]
-        tracker.spend()
+        if (used := used + 1) > limit:
+            tracker.used = used
+            raise BudgetExceededError(limit)
         walk.append(point)
-        occupied.add(point)
+        occupy(point)
         length += 1
-        target = ends[index]
-        if point != target:
-            x, y = point
+        x, y = point
+        tx, ty = ends[index]
+        if x != tx or y != ty:
             # pushed first, so the right step is tried first
-            if y > target.y and (down := LatticePoint(x, y - 1)) not in occupied:
-                stack.append((length, index, down))
-            if x < target.x and (right := LatticePoint(x + 1, y)) not in occupied:
-                stack.append((length, index, right))
+            if y > ty and (down := (x, y - 1)) not in occupied:
+                push((length, index, down))
+            if x < tx and (right := (x + 1, y)) not in occupied:
+                push((length, index, right))
             continue
         # the endpoint stays occupied while the remaining paths are built
         if build:
-            paths.append(MonotonePath(tuple(walk[first[index]:])))
+            paths.append(MonotonePath(tuple(map(_point, walk[first[index]:]))))
         index += 1
-        if index == config.size:
+        if index == size:
+            tracker.used = used
             yield PathFamily(config, tuple(paths)) if build else None
+            used = tracker.used
         elif starts[index] not in occupied:
             first[index] = length
-            stack.append((length, index, starts[index]))
+            push((length, index, starts[index]))
+    tracker.used = used
 
 
 def enumerate_path_families(
@@ -242,46 +251,51 @@ class PlanePartition:
 
 
 def _fill_cells(height: int, width: int, top: int,
-                row_ok: Callable[[int, tuple[int, ...]], bool], tracker: Budget,
+                row_ok: Callable[[int, list[int]], bool], tracker: Budget,
                 emit: Callable[[PlanePartition], None] | None,
                 prefix: Sequence[int] = ()) -> ExactInt:
     """Count (and optionally emit) the height x width plane partitions with
     entries <= top whose first row starts with prefix and whose every row i
-    passes row_ok(i, row), checked when the row is complete.
+    passes row_ok(i, row), given the row's list slice once it is complete.
 
     The array is filled cell by cell in row-major order, each cell from its
     cap min(above, left) down to 0, so the arrays come in lexicographically
     decreasing order.  There is no stack and no recursion: a backtrack
     lowers the last cell past the prefix that is above 0, and the cells
     after it are re-capped on the way forward.  Each entry tried spends one
-    unit; the prefix spends none."""
+    unit; the prefix spends none.  ``Budget.used`` gets the local count
+    before each emit (read back after it), on exhaustion and on the raise."""
     cells = [top] * width + list(prefix)  # a row of caps above row 0
     start, end = len(cells), (height + 1) * width
     cells += [0] * (end - start)
     count, k = 0, start  # cells[:k] are set
+    used, limit = tracker.used, tracker.limit
     while True:
-        row_done = k % width == 0 and k > width
-        if not row_done or row_ok(k // width - 2, tuple(cells[k - width:k])):
-            if k < end:
-                cap = cells[k - width]
-                if k % width and cells[k - 1] < cap:
-                    cap = cells[k - 1]
-                tracker.spend()
-                cells[k] = cap
-                k += 1
-                continue
-            count += 1
-            if emit is not None:
-                emit(PlanePartition(tuple(
-                    tuple(cells[i:i + width]) for i in range(width, end, width))))
-        k -= 1
-        while k >= start and not cells[k]:
+        if k % width:  # inside a row: cap min(above, left)
+            cap, left = cells[k - width], cells[k - 1]
+            cells[k] = left if left < cap else cap
+        elif (ok := k == width or row_ok(k // width - 2, cells[k - width:k])) \
+                and k < end:
+            cells[k] = cells[k - width]  # a row's first cell: cap above
+        else:
+            if ok:
+                count += 1
+                if emit is not None:
+                    tracker.used = used
+                    emit(PlanePartition(tuple(
+                        tuple(cells[i:i + width]) for i in range(width, end, width))))
+                    used = tracker.used
             k -= 1
-        if k < start:
-            return count
-        tracker.spend()
-        cells[k] -= 1
+            while k >= start and not cells[k]:
+                k -= 1
+            if k < start:
+                tracker.used = used
+                return count
+            cells[k] -= 1
         k += 1
+        if (used := used + 1) > limit:
+            tracker.used = used
+            raise BudgetExceededError(limit)
 
 
 def enumerate_plane_partitions_box(
@@ -321,21 +335,13 @@ def enumerate_constrained_pp(
     one local: the first row is forced on a prefix, the last column is
     positive above row a+2-r and zero from it on.
     """
-    params = _as_params(p)
-    a, b, c, r, s, t = params.astuple()
+    a, b, c, r, s, t = _as_params(p).astuple()
     tracker = _resolve_budget(budget)
     height, width, depth = a + 2, b + 2, c + 2
-    first_zero_row = height - r  # rows with index >= this end in 0
 
-    def row_ok(i: int, row: Sequence[int]) -> bool:
-        if i < first_zero_row:
-            if row[-1] == 0:
-                return False
-        elif row[-1] != 0:
-            return False
-        if i == height - 1 and row[0] != depth - t:
-            return False
-        return True
+    def row_ok(i: int, row: list[int]) -> bool:
+        return (row[-1] == 0) == (i >= height - r) and (
+            i < height - 1 or row[0] == depth - t)
 
     # First row: a forced prefix of b+2-s maxima, then strictly below
     # the maximum, so every free entry is capped at depth-1.

@@ -117,6 +117,19 @@ def test_count_budget_exhaustion_is_exit_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("method, nodes", [("brute", 30840), ("brute-pp", 74544)])
+def test_count_budget_edge_is_the_pinned_node_count(capsys, method, nodes):
+    # (2,2,2,2,2,2) takes exactly `nodes` expansions: that budget is enough,
+    # one unit less is not
+    argv = ("count", "2", "2", "2", "2", "2", "2", "--methods", method, "--budget")
+    code, out, err = run(capsys, *argv, str(nodes))
+    assert code == EXIT_OK
+    assert "6272" in out
+    code, out, err = run(capsys, *argv, str(nodes - 1))
+    assert code == EXIT_BUDGET
+    assert "budget" in err
+
+
 def test_count_with_every_method_skipped_is_exit_3(capsys):
     code, out, err = run(
         capsys, "count", "2", "2", "2", "1", "1", "1",

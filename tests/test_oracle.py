@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexcount.closedform import count_macmahon_box, count_theorem1
-from hexcount.lgv import LatticePoint, build_point_configuration
+from hexcount.lgv import LatticePoint, PointConfiguration, build_point_configuration
 from hexcount.oracle import (
     Budget,
     BudgetExceededError,
@@ -191,6 +191,70 @@ def test_iter_path_families_stops_at_budget_like_emit():
             iterated.extend(iter_path_families((2, 2, 2, 1, 1, 1), budget=by_iter))
         assert iterated == emitted
         assert by_iter.used == by_emit.used == limit + 1
+
+
+# sha256 of the comma-joined Budget.used seen at each emission on
+# (2,2,2,2,2,2): the count must be live whenever a family or array leaves
+LIVE_BUDGET_DIGESTS = {
+    "paths": "e089e75da9377f0572bfb45a2868ab8996913765f7fdb8e06ac648f2c58a6051",
+    "pp": "4f114ad6801be943862f9dfe3cc3091ada26761dab6103897d05b080a56b3a2a",
+}
+
+
+def test_budget_used_is_live_at_every_emission():
+    params = (2, 2, 2, 2, 2, 2)
+
+    def seen_by_emit(enumerate_fn):
+        tracker, seen = Budget(), []
+        enumerate_fn(params, emit=lambda _: seen.append(tracker.used), budget=tracker)
+        return seen
+
+    def digest(seen):
+        return hashlib.sha256(",".join(map(str, seen)).encode()).hexdigest()
+
+    paths, pp = seen_by_emit(enumerate_path_families), seen_by_emit(enumerate_constrained_pp)
+    assert (paths[:3], paths[-1], len(paths)) == ([62, 70, 73], 30840, 6272)
+    assert (pp[:3], pp[-1], len(pp)) == ([76, 78, 80], 74413, 6272)
+    assert {"paths": digest(paths), "pp": digest(pp)} == LIVE_BUDGET_DIGESTS
+    tracker, iterated = Budget(), []
+    for _ in iter_path_families(params, budget=tracker):
+        iterated.append(tracker.used)
+    assert iterated == paths
+
+
+def test_budget_spent_during_emission_is_kept():
+    # a tracker shared with the consumer keeps what the consumer spends
+    params = (1, 1, 1, 1, 1, 1)
+    alone = Budget()
+    families = enumerate_path_families(params, budget=alone)
+    tracker = Budget()
+    for _ in iter_path_families(params, budget=tracker):
+        tracker.spend(1000)
+    assert tracker.used == alone.used + 1000 * families
+    for enumerate_fn in (enumerate_path_families, enumerate_constrained_pp):
+        alone, tracker = Budget(), Budget()
+        count = enumerate_fn(params, budget=alone)
+        enumerate_fn(params, emit=lambda _: tracker.spend(1000), budget=tracker)
+        assert tracker.used == alone.used + 1000 * count
+
+
+def test_search_with_no_family_still_counts_its_nodes():
+    # Q_0 is P_1, so every path 0 blocks path 1: five nodes, no family
+    cfg = PointConfiguration(0, 0, 0, 1, 1, 1, (LatticePoint(0, 1), LatticePoint(1, 0)),
+                             (LatticePoint(1, 0), LatticePoint(2, 0)))
+    tracker = Budget()
+    assert enumerate_path_families(cfg, budget=tracker) == 0
+    assert tracker.used == 5
+
+
+def test_emitted_families_are_public_types():
+    cfg = build_point_configuration(2, 1, 1, 2, 2, 1)
+    families = list(iter_path_families(cfg))
+    assert len(families) == 81
+    for family in families:
+        for path in family.paths:
+            assert all(isinstance(v, LatticePoint) for v in path.vertices)
+        assert parse_family_line(family_to_line(family), cfg) == family
 
 
 def test_family_line_round_trip():
