@@ -194,7 +194,8 @@ def test_iter_path_families_stops_at_budget_like_emit():
 
 
 # sha256 of the comma-joined Budget.used seen at each emission on
-# (2,2,2,2,2,2): the count must be live whenever a family or array leaves
+# (2,2,2,2,2,2), from the per-node Budget.spend() loops that the local
+# counters replaced: the count must be live whenever a family or array leaves
 LIVE_BUDGET_DIGESTS = {
     "paths": "e089e75da9377f0572bfb45a2868ab8996913765f7fdb8e06ac648f2c58a6051",
     "pp": "4f114ad6801be943862f9dfe3cc3091ada26761dab6103897d05b080a56b3a2a",
@@ -212,7 +213,8 @@ def test_budget_used_is_live_at_every_emission():
     def digest(seen):
         return hashlib.sha256(",".join(map(str, seen)).encode()).hexdigest()
 
-    paths, pp = seen_by_emit(enumerate_path_families), seen_by_emit(enumerate_constrained_pp)
+    paths = seen_by_emit(enumerate_path_families)
+    pp = seen_by_emit(enumerate_constrained_pp)
     assert (paths[:3], paths[-1], len(paths)) == ([62, 70, 73], 30840, 6272)
     assert (pp[:3], pp[-1], len(pp)) == ([76, 78, 80], 74413, 6272)
     assert {"paths": digest(paths), "pp": digest(pp)} == LIVE_BUDGET_DIGESTS
