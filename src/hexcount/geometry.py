@@ -25,6 +25,11 @@ The bijections, extension and renderer work on the codes alone, through
 one per-column table of the down cells, (lowest, highest, base), that
 gives a down cell's index as base + height in O(columns) memory.
 
+A region is built by integer inequalities on each candidate cell's
+(u, v), and keeps its SVG frame: the header and the text of each column
+x and each height h = 2y + x, formatted once, so rendering a tiling
+formats no float.
+
 Two regions matter here.  The working region is a hexagon with side
 lengths a, c+3, b, a+3, c, b+3 (clockwise from the top side) minus one
 up cell on each of the three long sides; the removed cells sit at
@@ -138,18 +143,24 @@ class Region:
                             if cell.orientation == DOWN))
 
     @cached_property
-    def _svg_frame(self) -> tuple[str, float, float]:
-        """render_svg's header line, and the x0 and y1 that shift the
-        rendered vertices into its view box."""
-        xs = [pt.x * _SQRT3_2 for cell in self.cells for pt in cell.vertices()]
-        ys = [pt.y + pt.x / 2.0 for cell in self.cells for pt in cell.vertices()]
+    def _svg_frame(self) -> tuple[str, dict[int, str], dict[int, str]]:
+        """render_svg's header line, and the text of each column x and of
+        each height h = 2y + x in its view box.  A cell's vertices have x
+        in u..u+1 and h in 2v+u..2v+u+2, one more for a down cell; a
+        vertex renders at (x * sqrt(3)/2, h / 2), y + x/2 exactly."""
+        us = [u for u, _, _ in self.cells]
+        hs = [2 * v + u + (o == DOWN) for u, v, o in self.cells]
+        x_lo, x_hi, h_lo, h_hi = min(us), max(us) + 1, min(hs), max(hs) + 2
         margin = 0.5
-        width = max(xs) - min(xs) + 2 * margin
-        height = max(ys) - min(ys) + 2 * margin
+        width = x_hi * _SQRT3_2 - x_lo * _SQRT3_2 + 2 * margin
+        height = h_hi / 2.0 - h_lo / 2.0 + 2 * margin
         header = (f'<svg xmlns="http://www.w3.org/2000/svg" '
                   f'viewBox="0 0 {width:.6f} {height:.6f}" '
                   f'width="{width * 40:.0f}" height="{height * 40:.0f}">')
-        return header, min(xs) - margin, max(ys) + margin
+        x0, y1 = x_lo * _SQRT3_2 - margin, h_hi / 2.0 + margin
+        return (header,
+                {x: f"{x * _SQRT3_2 - x0:.6f}" for x in range(x_lo, x_hi + 1)},
+                {h: f"{y1 - h / 2.0:.6f}" for h in range(h_lo, h_hi + 1)})
 
     @cached_property
     def _config(self) -> PointConfiguration:
@@ -210,19 +221,20 @@ def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
     # The cells whose vertices satisfy -1 <= x <= a+b+2, -b-c-3 <= y <= 0
     # and -c-4 <= x+y <= a-1, minus the notches.  The full hexagon reaches
     # one lattice step further on the lower bounds of x and y and on the
-    # upper bound of x+y, and keeps the notches.  Keyed on the plain
-    # 6-tuple, so paths_to_tiling's hits build no HexagonParams.
+    # upper bound of x+y, and keeps the notches.  A cell's vertices have x
+    # in u..u+1 and y in v..v+1, which the ranges of u and v keep in
+    # bounds, and x+y in u+v+d..u+v+d+1, d = 0 up and 1 down.  Keyed on
+    # the plain 6-tuple, so paths_to_tiling's hits build no HexagonParams.
     p = HexagonParams(*key)
     a, b, c = p.a, p.b, p.c
     step = 1 if kind == "full" else 0
     x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
     cells = {
-        cell
+        TriCell(u, v, orientation)
         for u in range(x_lo, a + b + 2)
         for v in range(y_lo, 0)
-        for cell in (TriCell(u, v, UP), TriCell(u, v, DOWN))
-        if all(x_lo <= x <= a + b + 2 and y_lo <= y <= 0
-               and -c - 4 <= x + y <= sum_hi for x, y in cell.vertices())
+        for orientation, d in ((UP, 0), (DOWN, 1))
+        if -c - 4 <= u + v + d < sum_hi
     }
     if kind == "notched":
         for cell in notch_cells(p):
@@ -407,8 +419,9 @@ def render_svg(target: Tiling | Region) -> str:
 
     Unit edge length, vertices on the (sqrt(3)/2, 1/2) grid, fixed
     6-decimal coordinates, polygons in sorted order.  The frame (view
-    box and offsets) is computed once per region and kept on it; each
-    call then does per-tile work only, formatting every vertex once.
+    box, and the text of each column and height) is computed once per
+    region and kept on it; each call then does per-tile work only, and
+    formats no float.
     """
     if isinstance(target, Tiling):
         region = target.region
@@ -418,19 +431,11 @@ def render_svg(target: Tiling | Region) -> str:
         region = target
         shapes = [(0, 0, cell.vertices(), _FILL[FALLING])
                   for cell in sorted(region.cells)]
-    header, x0, y1 = region._svg_frame
-    formatted: dict[tuple[int, int], str] = {}
+    header, xtext, htext = region._svg_frame
     lines = [header]
     for u, v, corners, fill in shapes:
-        pts = []
-        for dx, dy in corners:
-            key = (u + dx, v + dy)
-            text = formatted.get(key)
-            if text is None:
-                x, y = key
-                text = formatted[key] = (f"{x * _SQRT3_2 - x0:.6f},"
-                                         f"{y1 - (y + x / 2.0):.6f}")
-            pts.append(text)
+        pts = [f"{xtext[u + dx]},{htext[2 * (v + dy) + u + dx]}"
+               for dx, dy in corners]
         lines.append(
             f'<polygon points="{" ".join(pts)}" fill="{fill}" '
             f'stroke="#333333" stroke-width="0.03" '

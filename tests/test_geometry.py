@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import re
 
 import pytest
@@ -131,6 +132,60 @@ def test_region_rejects_unknown_kind():
     p = HexagonParams(0, 0, 0, 1, 1, 1)
     with pytest.raises(ValueError):
         Region("oval", p, frozenset())
+
+
+def reference_cells(a, b, c, kind):
+    """The cells of the (a, b, c) hexagon, notches not yet removed, by
+    testing every vertex of every candidate cell against -1 <= x <= a+b+2,
+    -b-c-3 <= y <= 0 and -c-4 <= x+y <= a-1 (one step wider on the
+    lower bounds of x and y and the upper bound of x+y for the full
+    hexagon)."""
+    step = 1 if kind == "full" else 0
+    x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
+    return frozenset(
+        cell
+        for u in range(x_lo, a + b + 2)
+        for v in range(y_lo, 0)
+        for cell in (TriCell(u, v, "up"), TriCell(u, v, "down"))
+        if all(x_lo <= x <= a + b + 2 and y_lo <= y <= 0
+               and -c - 4 <= x + y <= sum_hi for x, y in cell.vertices())
+    )
+
+
+def test_region_builder_and_frame_match_every_vertex():
+    # sides <= 5, with r, s and t each at both ends of their ranges: the
+    # cells and down cells equal the vertex-by-vertex reference, and the
+    # frame's header and coordinate strings equal float formatting of
+    # each vertex at (x * sqrt(3)/2, y + x/2)
+    sqrt3_2 = math.sqrt(3.0) / 2.0
+    for a, b, c in itertools.product(range(6), repeat=3):
+        hexagons = {kind: reference_cells(a, b, c, kind)
+                    for kind in ("notched", "full")}
+        for r, s, t in itertools.product((1, a + 2), (1, b + 2), (1, c + 2)):
+            p = HexagonParams(a, b, c, r, s, t)
+            for region in (build_region(p), build_full_region(p)):
+                cells = hexagons[region.kind]
+                if region.kind == "notched":
+                    cells = cells - set(notch_cells(p))
+                assert region.cells == cells
+                assert region.down_cells == tuple(sorted(
+                    cell for cell in cells if cell.orientation == "down"))
+                points = {pt for cell in cells for pt in cell.vertices()}
+                xs = [x * sqrt3_2 for x, _ in points]
+                ys = [y + x / 2.0 for x, y in points]
+                width = max(xs) - min(xs) + 1.0
+                height = max(ys) - min(ys) + 1.0
+                x0, y1 = min(xs) - 0.5, max(ys) + 0.5
+                header, xtext, htext = region._svg_frame
+                assert header == (
+                    f'<svg xmlns="http://www.w3.org/2000/svg" '
+                    f'viewBox="0 0 {width:.6f} {height:.6f}" '
+                    f'width="{width * 40:.0f}" height="{height * 40:.0f}">')
+                assert set(xtext) == {x for x, _ in points}
+                assert set(htext) == {2 * y + x for x, y in points}
+                for x, y in points:
+                    assert xtext[x] == f"{x * sqrt3_2 - x0:.6f}"
+                    assert htext[2 * y + x] == f"{y1 - (y + x / 2.0):.6f}"
 
 
 # ------------------------------------------------------------------- tilings
