@@ -147,7 +147,7 @@ class Region:
         """render_svg's header line, and the text of each column x and of
         each height h = 2y + x in its view box.  A cell's vertices have x
         in u..u+1 and h in 2v+u..2v+u+2, one more for a down cell; a
-        vertex renders at (x * sqrt(3)/2, h / 2), y + x/2 exactly."""
+        vertex renders at (x * sqrt(3)/2, h/2), and h/2 is y + x/2 exactly."""
         us = [u for u, _, _ in self.cells]
         hs = [2 * v + u + (o == DOWN) for u, v, o in self.cells]
         x_lo, x_hi, h_lo, h_hi = min(us), max(us) + 1, min(hs), max(hs) + 2
