@@ -4,14 +4,15 @@ Subcommands:
 
 * ``count``      evaluate one parameter tuple by several methods
 * ``propp``      the symmetric special case, checked against the
-                 general formula and the determinant
+                 general formula and the determinant (no budget: none
+                 of its methods enumerates)
 * ``verify``     sweep all parameter tuples up to given side bounds and
                  cross-check every method
 * ``identities`` tally the identity suite of ``closedform.identity_checks``
 * ``render``     write an SVG of a tiling (or the bare region)
 
 ``count``, ``propp`` and ``verify`` run their methods through one timed
-loop, ``_evaluate``.
+loop, ``_evaluate``, and judge agreement by one rule, ``RunReport.agree``.
 
 Exit codes: 0 all methods agree, 1 disagreement, 2 usage error
 (including an output file that cannot be written), 3 enumeration
@@ -97,7 +98,6 @@ class RunReport:
     command: str
     params: dict
     results: list[MethodResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def agree(self) -> bool:
@@ -110,7 +110,7 @@ class RunReport:
             "params": self.params,
             "results": [r.to_dict() for r in self.results],
             "agree": self.agree,
-            "notes": self.notes,
+            "notes": [],  # kept in the schema; no run writes a note
         }
 
     def print_text(self, out=None) -> None:
@@ -121,8 +121,6 @@ class RunReport:
             value = "-" if r.value is None else _decimal(r.value)
             note = f"  [{r.shown_note}]" if r.note else ""
             print(f"  {r.method:<14} {value}{note}  ({r.elapsed:.3f}s)", file=out)
-        for note in self.notes:
-            print(f"  note: {note}", file=out)
         print(f"  agree: {'yes' if self.agree else 'NO'}", file=out)
 
 
@@ -178,7 +176,8 @@ def _report(args: argparse.Namespace, p: HexagonParams,
             methods: Sequence[tuple[str, Callable]], **header: int) -> int:
     """Evaluate, print the report of ``args.command`` and return its exit code."""
     params = {**header, **{k: getattr(p, k) for k in "abcrst"}}
-    report = RunReport(args.command, params, _evaluate(p, methods, args.budget))
+    budget = getattr(args, "budget", None)  # propp takes none
+    report = RunReport(args.command, params, _evaluate(p, methods, budget))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -186,12 +185,17 @@ def _report(args: argparse.Namespace, p: HexagonParams,
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def _params(args: argparse.Namespace) -> HexagonParams:
+    """The tuple a b c r s t of ``count`` and ``render``; an invalid one is
+    a usage error."""
     try:
-        p = HexagonParams(args.a, args.b, args.c, args.r, args.s, args.t)
+        return HexagonParams(args.a, args.b, args.c, args.r, args.s, args.t)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    return _report(args, p, _parse_methods(args.methods))
+
+
+def cmd_count(args: argparse.Namespace) -> int:
+    return _report(args, _params(args), _parse_methods(args.methods))
 
 
 def cmd_propp(args: argparse.Namespace) -> int:
@@ -204,85 +208,51 @@ def cmd_propp(args: argparse.Namespace) -> int:
     return _report(args, p, methods, n=n)
 
 
-@dataclass
-class VerifyOutcome:
-    instances: int = 0
-    disagreements: list[dict] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-    def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "disagreements": self.disagreements,
-            "skipped": self.skipped,
-            "ok": self.ok,
-        }
-
-
-def run_verify(
-    max_a: int,
-    max_b: int,
-    max_c: int,
-    budget: int | None = None,
-    include_brute: bool = True,
-    fault: Callable[[HexagonParams, ExactInt], ExactInt] | None = None,
-) -> VerifyOutcome:
-    """Cross-check every method on every parameter tuple with sides up
-    to the given bounds, through ``_evaluate`` as ``count`` does.
+def run_verify(max_a: int, max_b: int, max_c: int, budget: int | None = None,
+               include_brute: bool = True) -> dict:
+    """Run the methods of ``METHODS`` on every parameter tuple with sides
+    up to the given bounds, through ``_evaluate`` as ``count`` does, judge
+    each tuple by ``RunReport.agree``, and fold them into a summary dict.
 
     A brute-force method that exceeds its per-instance budget is
-    recorded as skipped for that instance, not failed.  ``fault``, used
-    by the self-tests, post-processes the closed-form value so that the
-    harness can be shown to catch a planted disagreement.
+    recorded as skipped for that instance, not failed.
     """
-    outcome = VerifyOutcome()
     methods = [(name, method) for name, method in METHODS.items()
                if include_brute or not name.startswith("brute")]
-    for params in all_params(max_a, max_b, max_c):
-        p = HexagonParams(*params)
-        outcome.instances += 1
-        results = _evaluate(p, methods, budget)
-        values = {r.method: r.value for r in results if r.value is not None}
-        outcome.skipped.extend(
-            {"params": params, "method": r.method, "note": r.note}
-            for r in results if r.value is None
-        )
-        if fault is not None:
-            values["formula"] = fault(p, values["formula"])
-        if len(set(values.values())) > 1:
-            outcome.disagreements.append({
-                "params": params,
-                "values": {k: _decimal(v) for k, v in values.items()},
-            })
-    return outcome
+    instances, disagreements, skipped = 0, [], []
+    for instances, params in enumerate(all_params(max_a, max_b, max_c), 1):
+        report = RunReport("verify", {}, _evaluate(HexagonParams(*params),
+                                                  methods, budget))
+        skipped += ({"params": params, "method": r.method, "note": r.note}
+                    for r in report.results if r.value is None)
+        if not report.agree:
+            disagreements.append({"params": params, "values": {
+                r.method: _decimal(r.value)
+                for r in report.results if r.value is not None}})
+    return {"instances": instances, "disagreements": disagreements,
+            "skipped": skipped, "ok": not disagreements}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("max_a", "max_b", "max_c"):
         if getattr(args, name) < 0:
             raise _UsageError(f"--{name.replace('_', '-')} must be >= 0")
-    outcome = run_verify(
-        args.max_a, args.max_b, args.max_c,
-        budget=args.budget, include_brute=not args.skip_brute,
-    )
+    summary = run_verify(args.max_a, args.max_b, args.max_c,
+                         budget=args.budget, include_brute=not args.skip_brute)
     if args.json:
-        print(json.dumps(outcome.to_dict(), indent=2))
+        print(json.dumps(summary, indent=2))
     else:
-        print(f"checked {outcome.instances} parameter tuples "
+        print(f"checked {summary['instances']} parameter tuples "
               f"(sides up to {args.max_a},{args.max_b},{args.max_c})")
-        for item in outcome.skipped:
+        for item in summary["skipped"]:
             print(f"  skipped {item['method']} at {item['params']}: "
                   f"{item['note']}")
-        if outcome.ok:
+        if summary["ok"]:
             print("all methods agree")
         else:
-            for item in outcome.disagreements:
+            for item in summary["disagreements"]:
                 print(f"  DISAGREEMENT at {item['params']}: {item['values']}")
-    return EXIT_OK if outcome.ok else EXIT_DISAGREE
+    return EXIT_OK if summary["ok"] else EXIT_DISAGREE
 
 
 def run_identities(bound: int, trials: int, seed: int) -> dict:
@@ -317,10 +287,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    try:
-        p = HexagonParams(args.a, args.b, args.c, args.r, args.s, args.t)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    p = _params(args)
     if args.index < 0:
         raise _UsageError(f"--index must be >= 0, got {args.index}")
     if args.region_only:
@@ -386,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_propp = sub.add_parser("propp", help="symmetric special case a=b=c=2n")
     p_propp.add_argument("n", type=int)
-    _add_common(p_propp)
+    p_propp.add_argument("--json", action="store_true",
+                         help="machine-readable output (counts as strings)")
     p_propp.set_defaults(func=cmd_propp)
 
     p_verify = sub.add_parser("verify",

@@ -192,10 +192,10 @@ class Region:
         a, b, c, r, s, t = self.params.astuple()
         work = build_region(self.params)
         first, last = work._config.starts[0], work._config.starts[-1]
-        walks = [[LatticePoint(-1, c + 2 - k) for k in range(t + 1)] + [first],
-                 [LatticePoint(a + k, a + c + 3) for k in range(b + 3 - s)] + [last]]
-        walks += [(q, LatticePoint(q.x + 1, q.y) if i < r else
-                   LatticePoint(q.x, q.y - 1)) for i, q in enumerate(work._config.ends)]
+        walks = [[(-1, c + 2 - k) for k in range(t + 1)] + [first],
+                 [(a + k, a + c + 3) for k in range(b + 3 - s)] + [last]]
+        walks += [(q, (q.x + 1, q.y) if i < r else (q.x, q.y - 1))
+                  for i, q in enumerate(work._config.ends)]
         spans = tuple((base + lo, base + hi + 1, self._tables[x][2] + lo)
                       for x, (lo, hi, base) in work._tables.items())
         return bytes(_lay_tiles(self, walks)), spans
@@ -303,15 +303,17 @@ class Tiling:
                                                map(_OFFSETS.__getitem__, self.leans)))
 
 
-def _lay_tiles(region: Region, walks: Iterable[Sequence[LatticePoint]]) -> bytearray:
-    """The path-step rule: each step of each walk codes the down cell it
-    crosses flat ahead of a right step and rising behind a down step (the
-    code is the step's drop).  Every other down cell is falling."""
+def _lay_tiles(region: Region,
+               walks: Iterable[Sequence[tuple[int, int]]]) -> bytearray:
+    """The path-step rule: each step of each walk of (x, y) pairs codes the
+    down cell it crosses flat ahead of a right step and rising behind a
+    down step (the code is the step's drop).  Every other down cell is
+    falling."""
     entries = region._tables
     leans = bytearray(b"\2") * len(region.down_cells)
     for walk in walks:
-        for (x, y), nxt in pairwise(walk):
-            leans[entries[x][2] + y] = y - nxt.y
+        for (x, y), (_, ny) in pairwise(walk):
+            leans[entries[x][2] + y] = y - ny
     return leans
 
 
@@ -325,25 +327,25 @@ def paths_to_tiling(family: PathFamily) -> Tiling:
 
 
 def _trace_paths(
-    tiling: Tiling, endpoints: Iterable[tuple[LatticePoint, LatticePoint]]
-) -> list[MonotonePath]:
-    """Follow one path per (start, end) pair across the tiling: a flat
-    tile is a right step, a rising tile a down step, and a path stops
-    where it leaves the region."""
+    tiling: Tiling, endpoints: Iterable[tuple[tuple[int, int], tuple[int, int]]]
+) -> list[list[tuple[int, int]]]:
+    """Follow one path per (start, end) pair across the tiling, as a list
+    of (x, y) pairs: a flat tile is a right step, a rising tile a down
+    step, and a path stops where it leaves the region."""
     entries, leans = tiling.region._tables, tiling.leans
     paths = []
-    for start, end in endpoints:
-        x, y = start
-        vertices = [start]
+    for (x, y), end in endpoints:
+        vertices = [(x, y)]
         while (column := entries.get(x)) and column[0] <= y <= column[1]:
             code = leans[column[2] + y]
             if code == 2:
-                raise ValueError(f"falling tile blocks the path at {vertices[-1]}")
+                raise ValueError(f"falling tile blocks the path at {(x, y)}")
             x, y = x + 1 - code, y - code
-            vertices.append(_point((x, y)))
-        if (pos := vertices[-1]) != end:
-            raise ValueError(f"path from {start} ends at {pos}, expected {end}")
-        paths.append(MonotonePath(tuple(vertices)))
+            vertices.append((x, y))
+        if (x, y) != end:
+            raise ValueError(f"path from {vertices[0]} ends at {(x, y)}, "
+                             f"expected {tuple(end)}")
+        paths.append(vertices)
     return paths
 
 
@@ -352,7 +354,8 @@ def tiling_to_paths(tiling: Tiling) -> PathFamily:
     if tiling.region.kind != "notched":
         raise ValueError("path extraction needs a working-region tiling")
     cfg = tiling.region._config
-    return PathFamily(cfg, tuple(_trace_paths(tiling, zip(cfg.starts, cfg.ends))))
+    paths = _trace_paths(tiling, zip(cfg.starts, cfg.ends))
+    return PathFamily(cfg, tuple(MonotonePath(tuple(map(_point, path))) for path in paths))
 
 
 def extend_to_full_hexagon(tiling: Tiling) -> Tiling:
@@ -387,15 +390,10 @@ def tiling_to_plane_partition(tiling: Tiling) -> PlanePartition:
                          "tiling; see extend_to_full_hexagon")
     p = tiling.region.params
     a, b, c = p.a, p.b, p.c
-    paths = _trace_paths(tiling, (
-        (LatticePoint(k - 1, c + k + 2), LatticePoint(b + 1 + k, k))
-        for k in range(a + 2)
-    ))
-    rows = [
-        tuple(pos.y - k for pos, nxt in pairwise(path.vertices)
-              if nxt.x == pos.x + 1)
-        for k, path in enumerate(paths)
-    ]
+    paths = _trace_paths(tiling, (((k - 1, c + k + 2), (b + 1 + k, k))
+                                  for k in range(a + 2)))
+    rows = [tuple(y - k for (x, y), (nx, _) in pairwise(path) if nx == x + 1)
+            for k, path in enumerate(paths)]
     return PlanePartition(tuple(reversed(rows)))
 
 

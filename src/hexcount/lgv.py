@@ -326,22 +326,18 @@ def verify_desnanot_jacobi(matrix: CountMatrix | Sequence[Sequence[int]]) -> boo
 
     NW removes the last row and column, SE the first row and column,
     NE the last row and first column, SW the first row and last column.
-    All five determinants are computed independently by elimination.
+    All five determinants are computed independently by elimination,
+    the four corners and the interior from ``minor``.
     """
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if n < 2:
-        raise ValueError(f"identity needs order >= 2, got {n}")
+    if not isinstance(matrix, CountMatrix):
+        matrix = CountMatrix.from_rows(matrix)
+    if matrix.order < 2:
+        raise ValueError(f"identity needs order >= 2, got {matrix.order}")
+    (r0, *_, r1), (c0, *_, c1) = matrix.row_labels, matrix.col_labels
 
-    def sub(drop_rows: set[int], drop_cols: set[int]) -> ExactInt:
-        kept = [
-            [v for j, v in enumerate(row) if j not in drop_cols]
-            for i, row in enumerate(rows)
-            if i not in drop_rows
-        ]
-        return det_elimination(kept)
+    def sub(drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]) -> ExactInt:
+        return det_elimination(minor(matrix, drop_rows, drop_cols))
 
-    last = n - 1
-    lhs = det_elimination(rows) * sub({0, last}, {0, last})
-    rhs = sub({last}, {last}) * sub({0}, {0}) - sub({last}, {0}) * sub({0}, {last})
+    lhs = det_elimination(matrix) * sub((r0, r1), (c0, c1))
+    rhs = sub((r1,), (c1,)) * sub((r0,), (c0,)) - sub((r1,), (c0,)) * sub((r0,), (c1,))
     return lhs == rhs

@@ -149,10 +149,12 @@ def _path_search(
     """Depth-first search on an explicit stack, with no depth limit; yields
     each family, or None for each when ``build`` is false.  A stack entry
     is (walk length before the vertex, path index, (x, y)), where the walk
-    holds the vertices of every path so far; popping one truncates the
-    walk, ``occupied`` and the finished paths back to it.  The node count
-    is a local, written to ``Budget.used`` before each yield (and read
-    back after it), on exhaustion and on the raise."""
+    holds the vertices of every path so far as (x, y) pairs; popping one
+    truncates the walk and ``occupied`` back to it.  A family is built
+    from the walk, path i being walk[first[i]:first[i+1]], only when it
+    is emitted.  The node count is a local, written to ``Budget.used``
+    before each yield (and read back after it), on exhaustion and on the
+    raise."""
     config = p if isinstance(p, PointConfiguration) else (
         build_point_configuration(*_as_params(p).astuple()))
     tracker = _resolve_budget(budget)
@@ -161,14 +163,13 @@ def _path_search(
     walk: list[tuple[int, int]] = []
     occupied: set[tuple[int, int]] = set()
     first = [0] * size  # walk position where each path begins
-    paths: list[MonotonePath] = []
     stack = [(0, 0, starts[0])]
     pop, push, occupy = stack.pop, stack.append, occupied.add
     while stack:
         length, index, point = pop()
         if len(walk) > length:  # backtrack
             occupied.difference_update(walk[length:])
-            del walk[length:], paths[index:]
+            del walk[length:]
         if (used := used + 1) > limit:
             tracker.used = used
             raise BudgetExceededError(limit)
@@ -185,12 +186,12 @@ def _path_search(
                 push((length, index, right))
             continue
         # the endpoint stays occupied while the remaining paths are built
-        if build:
-            paths.append(MonotonePath(tuple(map(_point, walk[first[index]:]))))
         index += 1
         if index == size:
             tracker.used = used
-            yield PathFamily(config, tuple(paths)) if build else None
+            yield PathFamily(config, tuple(
+                MonotonePath(tuple(map(_point, walk[i:j])))
+                for i, j in zip(first, [*first[1:], length]))) if build else None
             used = tracker.used
         elif starts[index] not in occupied:
             first[index] = length

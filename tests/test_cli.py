@@ -164,6 +164,19 @@ def test_propp_rejects_negative(capsys):
     assert code == EXIT_USAGE
 
 
+def test_propp_reads_no_budget(capsys, monkeypatch):
+    # none of propp's methods enumerates, so a malformed HEXCOUNT_BUDGET
+    # does not concern it, and it has no --budget option
+    monkeypatch.setenv("HEXCOUNT_BUDGET", "abc")
+    code, out, err = run(capsys, "propp", "0")
+    assert code == EXIT_OK and err == ""
+    assert re.search(r"special-form +1 ", out)
+    with pytest.raises(SystemExit) as exc:
+        main(["propp", "1", "--budget", "5"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_verify_small_sweep(capsys):
     code, out, err = run(
         capsys, "verify", "--max-a", "1", "--max-b", "1", "--max-c", "0",
@@ -191,25 +204,32 @@ def test_verify_budget_skips_but_still_passes(capsys):
                for item in payload["skipped"])
 
 
-def test_verify_harness_catches_planted_fault():
+def test_verify_harness_catches_planted_fault(monkeypatch):
     planted = (1, 1, 0, 2, 1, 1)
+    formula = cli.METHODS["formula"]
 
-    def fault(params, value):
+    def fault(params, budget):
+        value = formula(params, budget)
         return value + 1 if params.astuple() == planted else value
 
-    outcome = run_verify(1, 1, 1, include_brute=False, fault=fault)
-    assert not outcome.ok
-    assert len(outcome.disagreements) == 1
-    assert tuple(outcome.disagreements[0]["params"]) == planted
+    monkeypatch.setitem(cli.METHODS, "formula", fault)
+    outcome = run_verify(1, 1, 1, include_brute=False)
+    assert not outcome["ok"]
+    assert len(outcome["disagreements"]) == 1
+    assert tuple(outcome["disagreements"][0]["params"]) == planted
 
 
-def test_verify_harness_catches_fault_against_brute():
-    def fault(params, value):
+def test_verify_harness_catches_fault_against_brute(monkeypatch):
+    formula = cli.METHODS["formula"]
+
+    def fault(params, budget):
+        value = formula(params, budget)
         return value * 2 if params.astuple() == (0, 0, 0, 1, 1, 1) else value
 
-    outcome = run_verify(0, 0, 0, include_brute=True, fault=fault)
-    assert not outcome.ok
-    values = outcome.disagreements[0]["values"]
+    monkeypatch.setitem(cli.METHODS, "formula", fault)
+    outcome = run_verify(0, 0, 0, include_brute=True)
+    assert not outcome["ok"]
+    values = outcome["disagreements"][0]["values"]
     assert values["formula"] != values["brute"]
 
 
