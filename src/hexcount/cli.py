@@ -33,13 +33,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Sequence
 
-from .closedform import (
-    HexagonParams,
-    all_params,
-    count_propp,
-    count_theorem1,
-    identity_checks,
-)
+from .closedform import count_propp, count_theorem1, identity_checks
 from .exact import ExactInt
 from .geometry import (
     build_full_region,
@@ -48,7 +42,8 @@ from .geometry import (
     paths_to_tiling,
     render_svg,
 )
-from .lgv import build_matrix_M, det_condensation, det_elimination
+from .lgv import HexagonParams, all_params, build_matrix_M, det_condensation, \
+    det_elimination
 from .oracle import (
     Budget,
     BudgetExceededError,
@@ -126,10 +121,8 @@ class RunReport:
 
 METHODS: dict[str, Callable[[HexagonParams, int | None], ExactInt]] = {
     "formula": lambda p, budget: count_theorem1(p),
-    "det": lambda p, budget: det_elimination(build_matrix_M(*p.astuple())),
-    "det-condense": lambda p, budget: det_condensation(
-        build_matrix_M(*p.astuple())
-    ),
+    "det": lambda p, budget: det_elimination(build_matrix_M(*p)),
+    "det-condense": lambda p, budget: det_condensation(build_matrix_M(*p)),
     "brute": lambda p, budget: enumerate_path_families(p, budget=Budget(budget)),
     "brute-pp": lambda p, budget: enumerate_constrained_pp(p, budget=Budget(budget)),
 }

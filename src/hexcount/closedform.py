@@ -22,38 +22,8 @@ from typing import Iterator, Sequence
 
 from .exact import ExactInt, Exponents
 from . import lgv
-from .lgv import det_elimination, minor, validate_parameters, \
-    validate_sides, verify_desnanot_jacobi
-
-
-@dataclass(frozen=True)
-class HexagonParams:
-    """Sides a, b, c >= 0 and border positions r in 1..a+2, s in 1..b+2,
-    t in 1..c+2.
-
-    The underlying hexagon has side lengths a+2, c+2, b+2, a+2, c+2,
-    b+2 in cyclic order; r, s, t select which border cell along three
-    alternating sides carries a fixed rhombus.
-    """
-
-    a: int
-    b: int
-    c: int
-    r: int
-    s: int
-    t: int
-
-    def __post_init__(self) -> None:
-        validate_parameters(self.a, self.b, self.c, self.r, self.s, self.t)
-
-    def astuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.a, self.b, self.c, self.r, self.s, self.t)
-
-
-def _as_params(p: HexagonParams | Sequence[int]) -> HexagonParams:
-    if isinstance(p, HexagonParams):
-        return p
-    return HexagonParams(*p)
+from .lgv import HexagonParams, all_params, det_elimination, minor, \
+    validate_parameters, validate_sides, verify_desnanot_jacobi
 
 
 def theorem_bracket(a: int, b: int, c: int, r: int, s: int, t: int) -> ExactInt:
@@ -70,7 +40,7 @@ def theorem_bracket(a: int, b: int, c: int, r: int, s: int, t: int) -> ExactInt:
 
 def count_theorem1(p: HexagonParams | Sequence[int]) -> ExactInt:
     """Closed-form count of tilings with the three fixed border tiles."""
-    a, b, c, r, s, t = _as_params(p).astuple()
+    a, b, c, r, s, t = HexagonParams(*p)
     x = Exponents()
     for base, length in ((r + 1, b), (s + 1, c), (t + 1, a),
                          (c + 3 - t, b), (a + 3 - r, c), (b + 3 - s, a)):
@@ -119,10 +89,7 @@ def det_inner_closed(a: int, b: int, c: int, r: int) -> ExactInt:
     """
     if a < 1:
         raise ValueError(f"side a must be >= 1, got {a}")
-    if b < 0 or c < 0:
-        raise ValueError(f"sides b, c must be >= 0, got {b}, {c}")
-    if not 1 <= r <= a + 1:
-        raise ValueError(f"position r must be in 1..{a + 1}, got {r}")
+    validate_parameters(a - 1, b, c, r, 1, 1)  # r in 1..a+1
     x = Exponents()
     x.factorial(b + c + 3, a)
     x.factorial(a + c + 2 - r)
@@ -150,12 +117,7 @@ def det_m00_closed(a: int, b: int, c: int, r: int, s: int) -> ExactInt:
     """
     if a < 1:
         raise ValueError(f"side a must be >= 1, got {a}")
-    if b < 0 or c < 0:
-        raise ValueError(f"sides b, c must be >= 0, got {b}, {c}")
-    if not 1 <= r <= a + 2:
-        raise ValueError(f"position r must be in 1..{a + 2}, got {r}")
-    if not 1 <= s <= b + 2:
-        raise ValueError(f"position s must be in 1..{b + 2}, got {s}")
+    validate_parameters(a, b, c, r, s, 1)
     x = Exponents()
     for i in range(1, a + 1):
         x.rising(b + i + 3, c + 1 - i)
@@ -256,8 +218,8 @@ SKIPPED = "skipped"
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Status per identity: holds, failed, or skipped (not constructible
-    at these parameters)."""
+    """Status per identity: holds, failed, or skipped (its shifted sides
+    are out of range at these parameters)."""
 
     params: tuple[int, int, int, int, int, int]
     statuses: dict[str, str]
@@ -278,8 +240,7 @@ def _minor_det(
     delete_rows: tuple[int, ...],
     delete_cols: tuple[int, ...],
 ) -> ExactInt:
-    a, b, c, r, s, t = shape
-    matrix = lgv._matrix_unchecked(a, b, c, r, s, t)
+    matrix = lgv._matrix_unchecked(*shape)
     return det_elimination(minor(matrix, delete_rows, delete_cols))
 
 
@@ -292,103 +253,70 @@ def check_relabelling_identities(
     Each identity equates a minor of M(a, b, c, r, s, t) with a minor of
     M at shifted parameters.  A star below means the identity does not
     involve that position; the builder needs some in-range value there,
-    and 1 is always valid.  Identities whose shifted parameters are not
-    constructible (a side would go negative, or a deleted row label
-    would not exist) are reported as skipped.
+    and 1 is always valid.  An identity is skipped exactly when its
+    shifted sides fail ``validate_sides``, as a negative side does.
 
-    The four boundary checks assert that the r-range endpoints collapse:
+    The boundary checks assert that the r-range endpoints collapse:
     probing r one step outside 1..a+2 reproduces the adjacent interior
-    value, for both the inner minor and the first minor.
+    value, for both the inner minor and the first minor, and the inner
+    minor collapses one step further out as well.
     """
     validate_parameters(a, b, c, r, s, t)
     star = 1
     n = a + 1  # label of the last row/column of M
 
-    # name -> (lhs shape, lhs deletions, rhs shape, rhs deletions, constructible)
+    # name -> (lhs shape, lhs deletions, rhs shape, rhs deletions)
     cases: dict[str, tuple] = {
         "align-last-col": (
             (a, b, c, r, s, t), ((0,), (n,)),
             (a, b - 1, c + 1, r + 1, s - 1, star), ((0,), (0,)),
-            b >= 1,
         ),
         "align-last-row-col": (
             (a, b, c, r, s, t), ((n,), (n,)),
             (a, c, b, a + 2 - r, c + 2 - t, star), ((0,), (0,)),
-            True,
         ),
         "align-last-row": (
             (a, b, c, r, s, t), ((n,), (0,)),
             (a, c - 1, b + 1, a + 3 - r, c + 1 - t, star), ((0,), (0,)),
-            c >= 1,
         ),
         "shrink-inner": (
             (a, b, c, r, s, t), ((0, 1, n), (0, 1, n)),
             (a - 1, b, c, r - 1, star, star), ((0, a), (0, a)),
-            a >= 1,
         ),
         "shrink-first": (
             (a, b, c, r, s, t), ((0, 1), (0, 1)),
             (a - 1, b, c, r - 1, s, star), ((0,), (0,)),
-            a >= 1,
         ),
         "shrink-cross": (
             (a, b, c, r, s, t), ((0, 1), (0, n)),
             (a - 1, b - 1, c + 1, r, s - 1, star), ((0,), (0,)),
-            a >= 1 and b >= 1,
         ),
         "shrink-outer": (
             (a, b, c, r, s, t), ((0, n), (0, 1)),
             (a, b + 1, c - 1, r - 1, star, star), ((0, n), (0, n)),
-            c >= 1,
-        ),
-        "inner-low-end": (
-            (a, b, c, 0, s, t), ((0, n), (0, n)),
-            (a, b, c, 1, s, t), ((0, n), (0, n)),
-            True,
-        ),
-        "inner-high-end": (
-            (a, b, c, a + 2, s, t), ((0, n), (0, n)),
-            (a, b, c, a + 1, s, t), ((0, n), (0, n)),
-            True,
-        ),
-        "first-low-end": (
-            (a, b, c, 0, s, t), ((0,), (0,)),
-            (a, b, c, 1, s, t), ((0,), (0,)),
-            True,
-        ),
-        "first-high-end": (
-            (a, b, c, a + 3, s, t), ((0,), (0,)),
-            (a, b, c, a + 2, s, t), ((0,), (0,)),
-            True,
         ),
     }
-    # inner-high-end also collapses one step further out
-    cases["inner-past-end"] = (
-        (a, b, c, a + 3, s, t), ((0, n), (0, n)),
-        (a, b, c, a + 1, s, t), ((0, n), (0, n)),
-        True,
-    )
+    # r one or two steps outside 1..a+2 and the adjacent value inside it
+    for name, dels, outside, inside in (
+        ("inner-low-end", ((0, n), (0, n)), 0, 1),
+        ("inner-high-end", ((0, n), (0, n)), a + 2, a + 1),
+        ("first-low-end", ((0,), (0,)), 0, 1),
+        ("first-high-end", ((0,), (0,)), a + 3, a + 2),
+        ("inner-past-end", ((0, n), (0, n)), a + 3, a + 1),
+    ):
+        cases[name] = ((a, b, c, outside, s, t), dels, (a, b, c, inside, s, t), dels)
 
     statuses: dict[str, str] = {}
-    for name, (lshape, ldel, rshape, rdel, constructible) in cases.items():
-        if not constructible:
+    for name, (lshape, ldel, rshape, rdel) in cases.items():
+        try:
+            validate_sides(*rshape[:3])
+        except ValueError:
             statuses[name] = SKIPPED
             continue
         lhs = _minor_det(lshape, *ldel)
         rhs = _minor_det(rshape, *rdel)
         statuses[name] = HOLDS if lhs == rhs else FAILED
     return IdentityReport((a, b, c, r, s, t), statuses)
-
-
-def all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
-    """Every valid (a, b, c, r, s, t) with sides up to the given bounds,
-    in lexicographic order."""
-    for a, b, c in itertools.product(
-        range(max_a + 1), range(max_b + 1), range(max_c + 1)
-    ):
-        yield from itertools.product(
-            [a], [b], [c], range(1, a + 3), range(1, b + 3), range(1, c + 3)
-        )
 
 
 def identity_checks(

@@ -53,8 +53,8 @@ from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Iterable, NamedTuple, Sequence
 
-from .closedform import HexagonParams, _as_params
-from .lgv import LatticePoint, PointConfiguration, _point, build_point_configuration
+from .lgv import HexagonParams, LatticePoint, PointConfiguration, _point, \
+    build_point_configuration
 from .oracle import MonotonePath, PathFamily, PlanePartition
 
 UP = "up"
@@ -165,7 +165,7 @@ class Region:
     @cached_property
     def _config(self) -> PointConfiguration:
         """The path end points P_i and Q_i of the region's parameters."""
-        return build_point_configuration(*self.params.astuple())
+        return build_point_configuration(*self.params)
 
     @cached_property
     def _tables(self) -> dict[int, tuple[int, int, int]]:
@@ -189,7 +189,7 @@ class Region:
         b+2-s right steps from (a, a+c+3) and steps down onto P_{a+1}
         (the s notch); path i leaves Q_i by a right step if i < r, else by
         a down step, so the r notch gets a falling tile."""
-        a, b, c, r, s, t = self.params.astuple()
+        a, b, c, r, s, t = self.params
         work = build_region(self.params)
         first, last = work._config.starts[0], work._config.starts[-1]
         walks = [[(-1, c + 2 - k) for k in range(t + 1)] + [first],
@@ -208,7 +208,7 @@ def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
     the s notch on the upper-right long side, s cells from the top; the
     r notch on the bottom side, r cells from the left.
     """
-    a, b, c, r, s, t = p.astuple()
+    a, b, c, r, s, t = p
     return (
         TriCell(-1, -t - 1, UP),
         TriCell(a + b + 1 - s, s - b - 3, UP),
@@ -216,7 +216,7 @@ def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # a tuple's traffic is its working and full regions
 def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
     # The cells whose vertices satisfy -1 <= x <= a+b+2, -b-c-3 <= y <= 0
     # and -c-4 <= x+y <= a-1, minus the notches.  The full hexagon reaches
@@ -224,7 +224,7 @@ def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
     # upper bound of x+y, and keeps the notches.  A cell's vertices have x
     # in u..u+1 and y in v..v+1, which the ranges of u and v keep in
     # bounds, and x+y in u+v+d..u+v+d+1, d = 0 up and 1 down.  Keyed on
-    # the plain 6-tuple, so paths_to_tiling's hits build no HexagonParams.
+    # the plain 6-tuple, so a hit builds no HexagonParams; a miss validates.
     p = HexagonParams(*key)
     a, b, c = p.a, p.b, p.c
     step = 1 if kind == "full" else 0
@@ -246,12 +246,12 @@ def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
 
 def build_region(p: HexagonParams | Sequence[int]) -> Region:
     """The working region: the notched hexagon that the path families tile."""
-    return _build_region_cached(_as_params(p).astuple(), "notched")
+    return _build_region_cached(tuple(p), "notched")
 
 
 def build_full_region(p: HexagonParams | Sequence[int]) -> Region:
     """The full a+2, c+2, b+2, a+2, c+2, b+2 hexagon."""
-    return _build_region_cached(_as_params(p).astuple(), "full")
+    return _build_region_cached(tuple(p), "full")
 
 
 def _partitions(region: Region, leans: bytes | bytearray) -> bool:

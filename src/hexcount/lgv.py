@@ -3,9 +3,13 @@
 The tilings counted by this package biject with families of a+2
 nonintersecting lattice paths taking unit steps right (+1, 0) and down
 (0, -1).  The number of such families equals the determinant of the
-matrix whose (i, j) entry counts the paths from start i to end j.  This
-module builds the start/end configuration, the binomial count matrix,
-and provides two independent exact determinant algorithms:
+matrix whose (i, j) entry counts the paths from start i to end j.
+
+The parameter domain is stated here once, for every route:
+``validate_parameters``, the 6-tuple ``HexagonParams`` validated when it
+is built, and ``all_params`` up to given sides.  This module also builds
+the start/end configuration, the binomial count matrix, and provides
+two independent exact determinant algorithms:
 
 * ``det_elimination``: fraction-free Gaussian elimination (Bareiss).
   All intermediate values stay integers; the quotient at each step is
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import ExactInt, binomial
 
@@ -64,6 +68,45 @@ def validate_parameters(a: int, b: int, c: int, r: int, s: int, t: int) -> None:
     for name, value, hi in (("r", r, a + 2), ("s", s, b + 2), ("t", t, c + 2)):
         if not 1 <= value <= hi:
             raise ValueError(f"position {name} must be in 1..{hi}, got {value}")
+
+
+class _ParamFields(NamedTuple):
+    a: int
+    b: int
+    c: int
+    r: int
+    s: int
+    t: int
+
+
+class HexagonParams(_ParamFields):
+    """Sides a, b, c >= 0 and border positions r in 1..a+2, s in 1..b+2,
+    t in 1..c+2, as a 6-tuple validated when it is constructed.
+
+    The underlying hexagon has side lengths a+2, c+2, b+2, a+2, c+2,
+    b+2 in cyclic order; r, s, t select which border cell along three
+    alternating sides carries a fixed rhombus.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, r: int, s: int, t: int) -> HexagonParams:
+        validate_parameters(a, b, c, r, s, t)
+        return tuple.__new__(cls, (a, b, c, r, s, t))
+
+    def astuple(self) -> tuple[int, int, int, int, int, int]:
+        return tuple(self)
+
+
+def all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
+    """Every valid (a, b, c, r, s, t) with sides up to the given bounds,
+    as plain tuples in lexicographic order."""
+    for a, b, c in itertools.product(
+        range(max_a + 1), range(max_b + 1), range(max_c + 1)
+    ):
+        yield from itertools.product(
+            [a], [b], [c], range(1, a + 3), range(1, b + 3), range(1, c + 3)
+        )
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .closedform import HexagonParams, _as_params
 from .exact import ExactInt
-from .lgv import LatticePoint, PointConfiguration, _point, \
+from .lgv import HexagonParams, LatticePoint, PointConfiguration, _point, \
     build_point_configuration, validate_sides
 
 DEFAULT_BUDGET = 10**8
@@ -155,8 +154,7 @@ def _path_search(
     is emitted.  The node count is a local, written to ``Budget.used``
     before each yield (and read back after it), on exhaustion and on the
     raise."""
-    config = p if isinstance(p, PointConfiguration) else (
-        build_point_configuration(*_as_params(p).astuple()))
+    config = p if isinstance(p, PointConfiguration) else build_point_configuration(*p)
     tracker = _resolve_budget(budget)
     starts, ends = [tuple(q) for q in config.starts], [tuple(q) for q in config.ends]
     size, used, limit = config.size, tracker.used, tracker.limit
@@ -252,12 +250,13 @@ class PlanePartition:
 
 
 def _fill_cells(height: int, width: int, top: int,
-                row_ok: Callable[[int, list[int]], bool], tracker: Budget,
+                row_ok: Callable[[int, int, int], bool], tracker: Budget,
                 emit: Callable[[PlanePartition], None] | None,
                 prefix: Sequence[int] = ()) -> ExactInt:
     """Count (and optionally emit) the height x width plane partitions with
     entries <= top whose first row starts with prefix and whose every row i
-    passes row_ok(i, row), given the row's list slice once it is complete.
+    passes row_ok(i, first, last), given its first and last entries once
+    the row is complete.
 
     The array is filled cell by cell in row-major order, each cell from its
     cap min(above, left) down to 0, so the arrays come in lexicographically
@@ -275,8 +274,8 @@ def _fill_cells(height: int, width: int, top: int,
         if k % width:  # inside a row: cap min(above, left)
             cap, left = cells[k - width], cells[k - 1]
             cells[k] = left if left < cap else cap
-        elif (ok := k == width or row_ok(k // width - 2, cells[k - width:k])) \
-                and k < end:
+        elif (ok := k == width or row_ok(k // width - 2, cells[k - width],
+                                         cells[k - 1])) and k < end:
             cells[k] = cells[k - width]  # a row's first cell: cap above
         else:
             if ok:
@@ -317,7 +316,7 @@ def enumerate_plane_partitions_box(
         if emit is not None:
             emit(PlanePartition(tuple(() for _ in range(a))))
         return 1
-    return _fill_cells(a, b, c, lambda i, row: True, tracker, emit)
+    return _fill_cells(a, b, c, lambda i, first, last: True, tracker, emit)
 
 
 def enumerate_constrained_pp(
@@ -336,13 +335,13 @@ def enumerate_constrained_pp(
     one local: the first row is forced on a prefix, the last column is
     positive above row a+2-r and zero from it on.
     """
-    a, b, c, r, s, t = _as_params(p).astuple()
+    a, b, c, r, s, t = HexagonParams(*p)
     tracker = _resolve_budget(budget)
     height, width, depth = a + 2, b + 2, c + 2
 
-    def row_ok(i: int, row: list[int]) -> bool:
-        return (row[-1] == 0) == (i >= height - r) and (
-            i < height - 1 or row[0] == depth - t)
+    def row_ok(i: int, first: int, last: int) -> bool:
+        return (last == 0) == (i >= height - r) and (
+            i < height - 1 or first == depth - t)
 
     # First row: a forced prefix of b+2-s maxima, then strictly below
     # the maximum, so every free entry is capped at depth-1.

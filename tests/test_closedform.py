@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from hexcount.closedform import (
     det_m00_closed,
     theorem_bracket,
 )
-from hexcount.lgv import build_matrix_M, det_elimination, minor
+from hexcount.lgv import all_params, build_matrix_M, det_elimination, minor
 
 
 def params_strategy(max_side=3):
@@ -249,3 +250,21 @@ def test_relabelling_identities_skip_rules():
 @settings(max_examples=60, deadline=None)
 def test_relabelling_identities_hold(params):
     assert check_relabelling_identities(*params).ok
+
+
+def test_relabelling_statuses_are_pinned():
+    # the skip rule (shifted sides must pass validate_sides) over all 2,744
+    # tuples with sides <= 3, as the hand-written predicates gave it
+    tally = Counter()
+    for params in all_params(3, 3, 3):
+        tally.update(check_relabelling_identities(*params).statuses.items())
+    skips = dict.fromkeys(["align-last-col", "align-last-row", "shrink-first",
+                           "shrink-inner", "shrink-outer"], 392)
+    skips["shrink-cross"] = 728
+    skips.update(dict.fromkeys(["align-last-row-col", "first-high-end", "first-low-end",
+                                "inner-high-end", "inner-low-end", "inner-past-end"], 0))
+    assert {name: tally[name, "skipped"] for name in skips} == skips
+    assert {name: tally[name, "holds"] for name in skips} == {
+        name: 2744 - n for name, n in skips.items()}
+    assert sum(tally.values()) == 12 * 2744  # no identity failed, none is missing
+    assert sum(skips.values()) == 2688  # so 30,240 hold

@@ -1,12 +1,15 @@
+import gc
 import hashlib
 import itertools
 import math
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexcount.closedform import HexagonParams, all_params, count_theorem1
+from hexcount import geometry
 from hexcount.geometry import (
     _QUAD_CORNERS,
     FALLING,
@@ -126,6 +129,18 @@ def test_region_size_matches_path_count(a, b, c, data):
     assert len(full.cells) == hexagon_cells
     strips = (a + 3) + (b + 3) + (c + 3)
     assert len(region.cells) == hexagon_cells - 2 * strips
+
+
+def test_region_cache_keeps_only_recent_regions():
+    # each tuple's traffic is its working region and its full hexagon, so
+    # the cache holds a few regions, not every region ever built
+    refs = [weakref.ref(build(p)) for p in all_params(2, 2, 2)
+            for build in (build_region, build_full_region)]
+    gc.collect()
+    alive = sum(ref() is not None for ref in refs)
+    bound = geometry._build_region_cached.cache_info().maxsize
+    assert len(refs) == 1458
+    assert bound is not None and alive <= bound, (alive, bound)
 
 
 def test_region_rejects_unknown_kind():

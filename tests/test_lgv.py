@@ -1,12 +1,18 @@
+import ast
 import gc
 import itertools
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexcount.closedform import count_theorem1
 from hexcount.exact import binomial
+from hexcount.geometry import build_region
+from hexcount.lgv import HexagonParams
+from hexcount.oracle import enumerate_constrained_pp
 from hexcount.lgv import (
     CondensationStats,
     CountMatrix,
@@ -287,3 +293,35 @@ def test_desnanot_jacobi_rejects_tiny():
 def test_desnanot_jacobi_on_path_matrices():
     for params in [(2, 1, 1, 2, 2, 1), (3, 2, 1, 2, 1, 2), (1, 3, 2, 1, 4, 3)]:
         assert verify_desnanot_jacobi(build_matrix_M(*params))
+
+
+# ---------------------------------------------------------------- parameters
+
+def test_hexagon_params_is_the_validated_plain_tuple():
+    p = HexagonParams(2, 1, 1, 2, 2, 1)
+    a, b, c, r, s, t = p
+    assert all(type(v) is int for v in (a, b, c, r, s, t))
+    plain = (2, 1, 1, 2, 2, 1)
+    assert p == plain and hash(p) == hash(plain)
+    assert type(p.astuple()) is tuple and p.astuple() == plain
+    with pytest.raises(ValueError, match="position t must be in 1..3, got 4"):
+        HexagonParams(2, 1, 1, 2, 2, 4)
+    assert count_theorem1(plain) == count_theorem1(p) == 81
+    assert enumerate_constrained_pp(plain) == enumerate_constrained_pp(p) == 81
+    assert build_region(plain) is build_region(p)
+
+
+@pytest.mark.parametrize("module", ["oracle", "geometry"])
+def test_routes_do_not_import_the_closed_form(module):
+    # the brute-force and bijection routes stay independent of the formula
+    import hexcount
+
+    source = Path(hexcount.__file__).with_name(f"{module}.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("closedform" in name for name in imported), imported
