@@ -89,6 +89,7 @@ class HexagonParams(_ParamFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates
 
     def __new__(cls, a: int, b: int, c: int, r: int, s: int, t: int) -> HexagonParams:
         validate_parameters(a, b, c, r, s, t)

@@ -306,6 +306,8 @@ def test_hexagon_params_is_the_validated_plain_tuple():
     assert type(p.astuple()) is tuple and p.astuple() == plain
     with pytest.raises(ValueError, match="position t must be in 1..3, got 4"):
         HexagonParams(2, 1, 1, 2, 2, 4)
+    with pytest.raises(ValueError, match="position r must be in 1..4, got 9"):
+        p._replace(r=9)
     assert count_theorem1(plain) == count_theorem1(p) == 81
     assert enumerate_constrained_pp(plain) == enumerate_constrained_pp(p) == 81
     assert build_region(plain) is build_region(p)
