@@ -261,8 +261,9 @@ def test_relabelling_statuses_are_pinned():
     skips = dict.fromkeys(["align-last-col", "align-last-row", "shrink-first",
                            "shrink-inner", "shrink-outer"], 392)
     skips["shrink-cross"] = 728
-    skips.update(dict.fromkeys(["align-last-row-col", "first-high-end", "first-low-end",
-                                "inner-high-end", "inner-low-end", "inner-past-end"], 0))
+    skips.update(dict.fromkeys(["align-last-row-col", "first-high-end",
+                                "first-low-end", "inner-high-end", "inner-low-end",
+                                "inner-past-end"], 0))
     assert {name: tally[name, "skipped"] for name in skips} == skips
     assert {name: tally[name, "holds"] for name in skips} == {
         name: 2744 - n for name, n in skips.items()}
