@@ -17,7 +17,8 @@ loop, ``_evaluate``, and judge agreement by one rule, ``RunReport.agree``.
 Exit codes: 0 all methods agree, 1 disagreement, 2 usage error
 (including an output file that cannot be written), 3 enumeration
 budget exceeded, 4 internal error (any other exception, reported as
-one stderr line naming the subcommand and the exception type).  All
+one stderr line naming the subcommand, the method and tuple if a
+method raised it, and the exception type).  All
 counts print as decimal strings (also in ``--json`` output) since they
 grow past any fixed-width type.
 """
@@ -130,9 +131,20 @@ METHODS: dict[str, Callable[[HexagonParams, int | None], ExactInt]] = {
 DEFAULT_METHODS = "formula,det,det-condense"
 
 
+def _describe(exc: Exception) -> str:
+    """An exception's type and the first line of its message."""
+    detail = str(exc).partition("\n")[0]
+    return f"{type(exc).__name__}: {detail}"
+
+
+class _MethodError(Exception):
+    """Any other exception raised by a method, naming the method and tuple."""
+
+
 def _evaluate(p: HexagonParams, methods: Sequence[tuple[str, Callable]],
               budget: int | None) -> list[MethodResult]:
-    """Time each (name, method); one over budget is skipped, unless all are."""
+    """Time each (name, method); one over budget is skipped, unless all are.
+    Any other exception becomes a ``_MethodError`` naming the method and p."""
     results = []
     for name, method in methods:
         start = time.perf_counter()
@@ -140,6 +152,8 @@ def _evaluate(p: HexagonParams, methods: Sequence[tuple[str, Callable]],
             value, note = method(p, budget), ""
         except BudgetExceededError as exc:
             exceeded, value, note = exc, None, str(exc)
+        except Exception as exc:
+            raise _MethodError(f"{name} at {tuple(p)}: {_describe(exc)}") from exc
         results.append(
             MethodResult(name, value, time.perf_counter() - start, note)
         )
@@ -402,9 +416,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except Exception as exc:  # exit 1 is reserved for a disagreement
-        detail = str(exc).partition("\n")[0]
-        print(f"error: internal error in {args.command}: "
-              f"{type(exc).__name__}: {detail}", file=sys.stderr)
+        detail = exc if isinstance(exc, _MethodError) else _describe(exc)
+        print(f"error: internal error in {args.command}: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator, Sequence
 
 from .exact import ExactInt, Exponents
-from . import lgv
-from .lgv import HexagonParams, all_params, det_elimination, minor, \
-    validate_parameters, validate_sides, verify_desnanot_jacobi
+from .lgv import HexagonParams, _matrix_unchecked, all_params, det_elimination, \
+    minor, validate_parameters, validate_sides, verify_desnanot_jacobi
 
 
 def theorem_bracket(a: int, b: int, c: int, r: int, s: int, t: int) -> ExactInt:
@@ -162,32 +162,11 @@ def check_krattenthaler_lemma(
             f"got {len(a_vals)} and {len(b_vals)}"
         )
 
-    def av(k: int) -> int:
-        return a_vals[k - 2]
-
-    def bv(k: int) -> int:
-        return b_vals[k - 2]
-
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            entry = 1
-            for k in range(i + 1, n + 1):
-                entry *= x[j - 1] + av(k)
-            for k in range(2, i + 1):
-                entry *= x[j - 1] + bv(k)
-            row.append(entry)
-        rows.append(row)
-    lhs = det_elimination(rows)
-    rhs = 1
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rhs *= x[i - 1] - x[j - 1]
-    for i in range(2, n + 1):
-        for j in range(i, n + 1):
-            rhs *= bv(i) - av(j)
-    return lhs == rhs
+    rows = [[prod(xj + v for v in (*a_vals[i - 1:], *b_vals[:i - 1])) for xj in x]
+            for i in range(1, n + 1)]
+    rhs = prod(x[i] - x[j] for i in range(n) for j in range(i + 1, n)) * prod(
+        b_vals[i] - a_vals[j] for i in range(n - 1) for j in range(i, n - 1))
+    return det_elimination(rows) == rhs
 
 
 def check_final_identity(a: int, b: int, c: int, r: int, s: int, t: int) -> bool:
@@ -233,15 +212,6 @@ class IdentityReport:
 
     def __str__(self) -> str:
         return f"{self.params}: {self.failures()}"
-
-
-def _minor_det(
-    shape: tuple[int, int, int, int, int, int],
-    delete_rows: tuple[int, ...],
-    delete_cols: tuple[int, ...],
-) -> ExactInt:
-    matrix = lgv._matrix_unchecked(*shape)
-    return det_elimination(minor(matrix, delete_rows, delete_cols))
 
 
 def check_relabelling_identities(
@@ -313,8 +283,8 @@ def check_relabelling_identities(
         except ValueError:
             statuses[name] = SKIPPED
             continue
-        lhs = _minor_det(lshape, *ldel)
-        rhs = _minor_det(rshape, *rdel)
+        lhs = det_elimination(minor(_matrix_unchecked(*lshape), *ldel))
+        rhs = det_elimination(minor(_matrix_unchecked(*rshape), *rdel))
         statuses[name] = HOLDS if lhs == rhs else FAILED
     return IdentityReport((a, b, c, r, s, t), statuses)
 

@@ -8,8 +8,10 @@ matrix whose (i, j) entry counts the paths from start i to end j.
 The parameter domain is stated here once, for every route:
 ``validate_parameters``, the 6-tuple ``HexagonParams`` validated when it
 is built, and ``all_params`` up to given sides.  This module also builds
-the start/end configuration, the binomial count matrix, and provides
-two independent exact determinant algorithms:
+the start/end configuration and the binomial count matrix.  Raw rows
+become a ``CountMatrix`` in one place, ``CountMatrix.from_rows``, which
+takes integer entries only and, through the constructor, a square
+shape.  Two independent exact determinant algorithms follow:
 
 * ``det_elimination``: fraction-free Gaussian elimination (Bareiss).
   All intermediate values stay integers; the quotient at each step is
@@ -34,6 +36,7 @@ two independent exact determinant algorithms:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -174,27 +177,25 @@ class CountMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.entries)
-        if len(self.row_labels) != n:
-            raise ValueError("row label count does not match row count")
-        if any(len(row) != len(self.col_labels) for row in self.entries):
-            raise ValueError("column label count does not match a row length")
-        if len(self.row_labels) != len(self.col_labels):
+        if any(len(row) != n for row in self.entries):
             raise ValueError("matrix must be square")
+        if len(self.row_labels) != n or len(self.col_labels) != n:
+            raise ValueError("need one label per row and one per column")
         if len(set(self.row_labels)) != n or len(set(self.col_labels)) != n:
             raise ValueError("labels must be distinct")
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[int]],
-        row_labels: Sequence[int] | None = None,
-        col_labels: Sequence[int] | None = None,
-    ) -> "CountMatrix":
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
-        n = len(entries)
-        rl = tuple(row_labels) if row_labels is not None else tuple(range(n))
-        cl = tuple(col_labels) if col_labels is not None else tuple(range(n))
-        return cls(entries, rl, cl)
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "CountMatrix":
+        """The matrix of raw rows, labelled 0..n-1.
+
+        This is the one conversion of raw rows: each entry must be an
+        integer (``operator.index`` takes ints and bools and raises
+        ``TypeError`` on a float or a ``Fraction``), and the constructor
+        checks that the rows make a square.
+        """
+        entries = tuple(tuple(map(operator.index, row)) for row in rows)
+        labels = tuple(range(len(entries)))
+        return cls(entries, labels, labels)
 
     @property
     def order(self) -> int:
@@ -205,29 +206,16 @@ class CountMatrix:
         return self.entries[i][j]
 
 
-def _matrix_entries(
-    a: int, b: int, c: int, r: int, s: int, t: int
-) -> tuple[tuple[ExactInt, ...], ...]:
+def _matrix_unchecked(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
     # Closed binomial form of count_paths(P_i, Q_j) for this point
     # configuration; rows 0 and a+1 absorb the t- and s-dependence.
-    rows = []
-    for i in range(a + 2):
-        row = []
-        for j in range(a + 2):
-            jj = j + (1 if j >= r else 0)
-            if i == 0:
-                row.append(binomial(b + c + 2 - t, c + 2 - t - jj))
-            elif i == a + 1:
-                row.append(binomial(c + s, jj - a - 2 + s))
-            else:
-                row.append(binomial(b + c + 3, b + jj - i + 1))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _matrix_unchecked(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
+    ends = [j + (1 if j >= r else 0) for j in range(a + 2)]
+    rows = [tuple(binomial(b + c + 2 - t, c + 2 - t - jj) for jj in ends)]
+    rows.extend(tuple(binomial(b + c + 3, b + jj - i + 1) for jj in ends)
+                for i in range(1, a + 1))
+    rows.append(tuple(binomial(c + s, jj - a - 2 + s) for jj in ends))
     labels = tuple(range(a + 2))
-    return CountMatrix(_matrix_entries(a, b, c, r, s, t), labels, labels)
+    return CountMatrix(tuple(rows), labels, labels)
 
 
 def build_matrix_M(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
@@ -267,13 +255,9 @@ def minor(
 
 
 def _as_rows(matrix: CountMatrix | Sequence[Sequence[int]]) -> list[list[int]]:
-    if isinstance(matrix, CountMatrix):
-        rows = [list(row) for row in matrix.entries]
-    else:
-        rows = [[int(v) for v in row] for row in matrix]
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-    return rows
+    if not isinstance(matrix, CountMatrix):
+        matrix = CountMatrix.from_rows(matrix)
+    return [list(row) for row in matrix.entries]
 
 
 def det_elimination(matrix: CountMatrix | Sequence[Sequence[int]]) -> ExactInt:

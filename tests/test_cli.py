@@ -387,7 +387,24 @@ def test_unexpected_exception_is_exit_4(capsys, monkeypatch):
     monkeypatch.setitem(cli.METHODS, "det", broken)
     code, out, err = run(capsys, "count", "1", "1", "1", "1", "1", "1")
     assert code == EXIT_INTERNAL
-    assert err == "error: internal error in count: ZeroDivisionError: planted\n"
+    assert err == ("error: internal error in count: det at (1, 1, 1, 1, 1, 1): "
+                   "ZeroDivisionError: planted\n")
+
+
+def test_verify_names_the_method_and_tuple_that_raised(capsys, monkeypatch):
+    det = cli.METHODS["det"]
+
+    def broken(p, budget):
+        if tuple(p) == (1, 1, 0, 2, 1, 1):
+            raise ZeroDivisionError("planted\nsecond line")
+        return det(p, budget)
+
+    monkeypatch.setitem(cli.METHODS, "det", broken)
+    code, out, err = run(capsys, "verify", "--max-a", "1", "--max-b", "1",
+                         "--max-c", "1", "--skip-brute")
+    assert code == EXIT_INTERNAL
+    assert err == ("error: internal error in verify: det at (1, 1, 0, 2, 1, 1): "
+                   "ZeroDivisionError: planted\n")
 
 
 def test_main_keeps_no_state_between_calls(capsys):

@@ -158,6 +158,17 @@ def test_minor_delete_everything_gives_empty_determinant_one():
 
 # -------------------------------------------------------------- determinants
 
+def test_raw_rows_must_be_square_and_integer():
+    for check in (det_elimination, det_condensation, verify_desnanot_jacobi,
+                  CountMatrix.from_rows):
+        with pytest.raises(TypeError):
+            check([[0.5, 1], [1, 1]])
+    for det in (det_elimination, det_condensation):
+        for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]):
+            with pytest.raises(ValueError, match="square"):
+                det(rows)
+
+
 def test_det_known_values():
     assert det_elimination([[2]]) == 2
     assert det_elimination([[1, 2], [3, 4]]) == -2
