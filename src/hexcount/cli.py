@@ -109,15 +109,14 @@ class RunReport:
             "notes": [],  # kept in the schema; no run writes a note
         }
 
-    def print_text(self, out=None) -> None:
-        out = out if out is not None else sys.stdout
+    def print_text(self) -> None:
         header = " ".join(f"{k}={v}" for k, v in self.params.items())
-        print(f"{self.command} {header}".rstrip(), file=out)
+        print(f"{self.command} {header}".rstrip())
         for r in self.results:
             value = "-" if r.value is None else _decimal(r.value)
             note = f"  [{r.shown_note}]" if r.note else ""
-            print(f"  {r.method:<14} {value}{note}  ({r.elapsed:.3f}s)", file=out)
-        print(f"  agree: {'yes' if self.agree else 'NO'}", file=out)
+            print(f"  {r.method:<14} {value}{note}  ({r.elapsed:.3f}s)")
+        print(f"  agree: {'yes' if self.agree else 'NO'}")
 
 
 METHODS: dict[str, Callable[[HexagonParams, int | None], ExactInt]] = {

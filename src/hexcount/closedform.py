@@ -22,8 +22,8 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .exact import ExactInt, Exponents
-from .lgv import HexagonParams, _matrix_unchecked, all_params, det_elimination, \
-    minor, validate_parameters, validate_sides, verify_desnanot_jacobi
+from .lgv import HexagonParams, _integer, _matrix_unchecked, all_params, \
+    det_elimination, minor, validate_parameters, validate_sides, verify_desnanot_jacobi
 
 
 def theorem_bracket(a: int, b: int, c: int, r: int, s: int, t: int) -> ExactInt:
@@ -55,8 +55,7 @@ def count_theorem1(p: HexagonParams | Sequence[int]) -> ExactInt:
 def count_propp(n: int) -> ExactInt:
     """Closed form of the symmetric special case a = b = c = 2n,
     r = s = t = n + 1 (the central fixed tiles)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _integer("n", n, 0)
     x = Exponents()
     x.rising(n + 2, 2 * n, 6)
     x.superfactorial(2 * n, 3)

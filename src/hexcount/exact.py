@@ -3,9 +3,10 @@
 Every count produced by this package is an exact integer.  Python's
 built-in ``int`` is already an arbitrary-precision type that round-trips
 through decimal strings, so ``ExactInt`` is an alias rather than a custom
-class.  The helpers here wrap the stdlib with the conventions the rest of
-the package relies on (zero binomials outside the Pascal triangle, rising
-factorials with any integer base).  ``Exponents`` evaluates products and
+class.  ``factorial`` is ``math.factorial`` itself; ``binomial`` adds the
+package's convention of zero binomials outside the Pascal triangle, and
+``pochhammer`` is the rising factorial with any integer base (exported,
+though no package code calls it).  ``Exponents`` evaluates products and
 quotients of factorials, superfactorials and rising factorials of
 positive integers without forming any of them.  Nothing here caches.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 
 ExactInt = int
+factorial = math.factorial  # n! for n >= 0; ValueError below 0, TypeError on a float
 
 
 class Exponents:
@@ -93,13 +95,6 @@ def _product(factors: list[int]) -> ExactInt:
     return factors[0] if factors else 1
 
 
-def factorial(n: int) -> ExactInt:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
-    return math.factorial(n)
-
-
 def superfactorial(n: int) -> ExactInt:
     """Product of k! for k = 0..n (inclusive), so superfactorial(0) == 1."""
     if n < 0:
@@ -117,10 +112,7 @@ def pochhammer(base: int, length: int) -> ExactInt:
     """
     if length < 0:
         raise ValueError(f"pochhammer requires length >= 0, got {length}")
-    result = 1
-    for i in range(length):
-        result *= base + i
-    return result
+    return math.prod(range(base, base + length))
 
 
 def binomial(n: int, k: int) -> ExactInt:
@@ -132,6 +124,4 @@ def binomial(n: int, k: int) -> ExactInt:
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    return math.comb(n, k) if k >= 0 else 0  # math.comb is 0 for k > n

@@ -14,9 +14,9 @@ picture the three cases are a flat rhombus, one leaning up to the
 right, and one leaning down to the right.
 
 Cells and tiles are tuples, (u, v, orientation) and (down, up), so they
-sort and hash as tuples do.  Each is validated when it is constructed:
-a cell's orientation is 'up' or 'down', and a tile's cells are an
-adjacent down/up pair.
+sort and hash as tuples do.  Each is validated when it is constructed,
+and by ``_replace``: a cell's orientation is 'up' or 'down', and a
+tile's cells are an adjacent down/up pair.
 
 A Tiling holds one lean code per entry of its region's sorted down
 cells (0 flat, 1 rising, 2 falling) and derives its tiles on demand;
@@ -54,11 +54,13 @@ from itertools import pairwise
 from typing import Iterable, NamedTuple, Sequence
 
 from .lgv import HexagonParams, LatticePoint, PointConfiguration, _point, \
-    build_point_configuration
+    _validating_make, build_point_configuration
 from .oracle import MonotonePath, PathFamily, PlanePartition
 
 UP = "up"
 DOWN = "down"
+# A cell's three vertices as offsets from (u, v), by orientation.
+_CELL_CORNERS = {UP: ((0, 0), (1, 0), (0, 1)), DOWN: ((1, 0), (0, 1), (1, 1))}
 
 FLAT = "flat"
 RISING = "rising"
@@ -75,6 +77,7 @@ class TriCell(_CellFields):
     """One unit triangle of the lattice."""
 
     __slots__ = ()
+    _make = _validating_make
 
     def __new__(cls, u: int, v: int, orientation: str) -> TriCell:
         if orientation not in (UP, DOWN):
@@ -83,12 +86,8 @@ class TriCell(_CellFields):
         return tuple.__new__(cls, (u, v, orientation))
 
     def vertices(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
-        u, v = self.u, self.v
-        if self.orientation == UP:
-            return (LatticePoint(u, v), LatticePoint(u + 1, v),
-                    LatticePoint(u, v + 1))
-        return (LatticePoint(u + 1, v), LatticePoint(u, v + 1),
-                LatticePoint(u + 1, v + 1))
+        u, v, o = self
+        return tuple(LatticePoint(u + dx, v + dy) for dx, dy in _CELL_CORNERS[o])
 
 
 _PARTNER_OFFSETS = {(1, 0): FLAT, (0, 0): RISING, (0, 1): FALLING}
@@ -106,6 +105,7 @@ class Tile(_TileFields):
     """A rhombus: one down cell plus an adjacent up cell."""
 
     __slots__ = ()
+    _make = _validating_make
 
     def __new__(cls, down: TriCell, up: TriCell) -> Tile:
         if down.orientation != DOWN or up.orientation != UP:
@@ -223,8 +223,8 @@ def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
     # one lattice step further on the lower bounds of x and y and on the
     # upper bound of x+y, and keeps the notches.  A cell's vertices have x
     # in u..u+1 and y in v..v+1, which the ranges of u and v keep in
-    # bounds, and x+y in u+v+d..u+v+d+1, d = 0 up and 1 down.  Keyed on
-    # the plain 6-tuple, so a hit builds no HexagonParams; a miss validates.
+    # bounds, and x+y in u+v+d..u+v+d+1, d = 0 up and 1 down, which bound
+    # v.  Keyed on the plain 6-tuple, so a hit builds no HexagonParams.
     p = HexagonParams(*key)
     a, b, c = p.a, p.b, p.c
     step = 1 if kind == "full" else 0
@@ -232,9 +232,8 @@ def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
     cells = {
         TriCell(u, v, orientation)
         for u in range(x_lo, a + b + 2)
-        for v in range(y_lo, 0)
         for orientation, d in ((UP, 0), (DOWN, 1))
-        if -c - 4 <= u + v + d < sum_hi
+        for v in range(max(y_lo, -c - 4 - u - d), min(0, sum_hi - u - d))
     }
     if kind == "notched":
         for cell in notch_cells(p):
@@ -425,10 +424,10 @@ def render_svg(target: Tiling | Region) -> str:
         region = target.region
         shapes = [(u, v, *_SHAPES[code]) for (u, v, _), code
                   in zip(region.down_cells, target.leans)]
-    else:  # a cell's vertices are its corners' offsets from (0, 0)
+    else:
         region = target
-        shapes = [(0, 0, cell.vertices(), _FILL[FALLING])
-                  for cell in sorted(region.cells)]
+        shapes = [(u, v, _CELL_CORNERS[o], _FILL[FALLING])
+                  for u, v, o in sorted(region.cells)]
     header, xtext, htext = region._svg_frame
     lines = [header]
     for u, v, corners, fill in shapes:

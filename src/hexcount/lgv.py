@@ -7,11 +7,12 @@ matrix whose (i, j) entry counts the paths from start i to end j.
 
 The parameter domain is stated here once, for every route:
 ``validate_parameters``, the 6-tuple ``HexagonParams`` validated when it
-is built, and ``all_params`` up to given sides.  This module also builds
-the start/end configuration and the binomial count matrix.  Raw rows
-become a ``CountMatrix`` in one place, ``CountMatrix.from_rows``, which
-takes integer entries only and, through the constructor, a square
-shape.  Two independent exact determinant algorithms follow:
+is built, and ``all_params`` up to given sides.  Parameters are plain
+ints, taken by ``operator.index`` (a float raises ``TypeError``).  This
+module also builds the start/end configuration and the count matrix.
+Every matrix argument goes through ``CountMatrix.from_rows``: a
+``CountMatrix`` as is, raw rows with integer entries and a square shape.
+Two independent exact determinant algorithms follow:
 
 * ``det_elimination``: fraction-free Gaussian elimination (Bareiss).
   All intermediate values stay integers; the quotient at each step is
@@ -50,27 +51,40 @@ class LatticePoint(NamedTuple):
 
 
 _point = partial(tuple.__new__, LatticePoint)  # from (x, y), with no Python-level call
+_validating_make = classmethod(lambda cls, values: cls(*values))  # _replace validates
 
 
-def validate_sides(a: int, b: int, c: int) -> None:
-    """Check that the sides a, b, c are nonnegative, naming the offender."""
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        if value < 0:
-            raise ValueError(f"side {name} must be >= 0, got {value}")
+def _integer(name: str, value: int, lo: int, hi: int | None = None) -> int:
+    """The value as a plain int in lo..hi (no upper bound if hi is None); a
+    float raises ``TypeError``, an int out of range ``ValueError``, naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo or hi is not None and value > hi:
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
-def validate_parameters(a: int, b: int, c: int, r: int, s: int, t: int) -> None:
-    """Check the hexagon side and border positions, naming the offender.
+def validate_sides(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Check that the sides a, b, c are nonnegative integers, naming the
+    offender, and return them as plain ints."""
+    return _integer("side a", a, 0), _integer("side b", b, 0), _integer("side c", c, 0)
+
+
+def validate_parameters(a: int, b: int, c: int, r: int, s: int, t: int
+                        ) -> tuple[int, ...]:
+    """Check the sides and positions, naming the offender; return plain ints.
 
     Sides a, b, c are arbitrary nonnegative integers.  The three border
     positions live in r in 1..a+2, s in 1..b+2, t in 1..c+2; each indexes
     which of the candidate border cells along one hexagon side carries
     the fixed tile.
     """
-    validate_sides(a, b, c)
-    for name, value, hi in (("r", r, a + 2), ("s", s, b + 2), ("t", t, c + 2)):
-        if not 1 <= value <= hi:
-            raise ValueError(f"position {name} must be in 1..{hi}, got {value}")
+    a, b, c = validate_sides(a, b, c)
+    return (a, b, c, _integer("position r", r, 1, a + 2),
+            _integer("position s", s, 1, b + 2), _integer("position t", t, 1, c + 2))
 
 
 class _ParamFields(NamedTuple):
@@ -84,7 +98,8 @@ class _ParamFields(NamedTuple):
 
 class HexagonParams(_ParamFields):
     """Sides a, b, c >= 0 and border positions r in 1..a+2, s in 1..b+2,
-    t in 1..c+2, as a 6-tuple validated when it is constructed.
+    t in 1..c+2, as a 6-tuple of ints validated on construction and by
+    ``_replace``.
 
     The underlying hexagon has side lengths a+2, c+2, b+2, a+2, c+2,
     b+2 in cyclic order; r, s, t select which border cell along three
@@ -92,11 +107,10 @@ class HexagonParams(_ParamFields):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates
+    _make = _validating_make
 
     def __new__(cls, a: int, b: int, c: int, r: int, s: int, t: int) -> HexagonParams:
-        validate_parameters(a, b, c, r, s, t)
-        return tuple.__new__(cls, (a, b, c, r, s, t))
+        return tuple.__new__(cls, validate_parameters(a, b, c, r, s, t))
 
     def astuple(self) -> tuple[int, int, int, int, int, int]:
         return tuple(self)
@@ -185,14 +199,16 @@ class CountMatrix:
             raise ValueError("labels must be distinct")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "CountMatrix":
-        """The matrix of raw rows, labelled 0..n-1.
+    def from_rows(cls, rows: CountMatrix | Sequence[Sequence[int]]) -> CountMatrix:
+        """The matrix of raw rows, labelled 0..n-1 (a ``CountMatrix`` as is).
 
         This is the one conversion of raw rows: each entry must be an
         integer (``operator.index`` takes ints and bools and raises
         ``TypeError`` on a float or a ``Fraction``), and the constructor
         checks that the rows make a square.
         """
+        if isinstance(rows, cls):
+            return rows
         entries = tuple(tuple(map(operator.index, row)) for row in rows)
         labels = tuple(range(len(entries)))
         return cls(entries, labels, labels)
@@ -255,9 +271,7 @@ def minor(
 
 
 def _as_rows(matrix: CountMatrix | Sequence[Sequence[int]]) -> list[list[int]]:
-    if not isinstance(matrix, CountMatrix):
-        matrix = CountMatrix.from_rows(matrix)
-    return [list(row) for row in matrix.entries]
+    return [list(row) for row in CountMatrix.from_rows(matrix).entries]
 
 
 def det_elimination(matrix: CountMatrix | Sequence[Sequence[int]]) -> ExactInt:
@@ -357,8 +371,7 @@ def verify_desnanot_jacobi(matrix: CountMatrix | Sequence[Sequence[int]]) -> boo
     All five determinants are computed independently by elimination,
     the four corners and the interior from ``minor``.
     """
-    if not isinstance(matrix, CountMatrix):
-        matrix = CountMatrix.from_rows(matrix)
+    matrix = CountMatrix.from_rows(matrix)
     if matrix.order < 2:
         raise ValueError(f"identity needs order >= 2, got {matrix.order}")
     (r0, *_, r1), (c0, *_, c1) = matrix.row_labels, matrix.col_labels

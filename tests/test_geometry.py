@@ -85,6 +85,21 @@ def test_tile_leans():
 
 # ------------------------------------------------------------------- regions
 
+def test_cells_and_tiles_validate_when_replaced():
+    cell = TriCell(0, 0, "up")
+    with pytest.raises(ValueError, match="orientation must be"):
+        cell._replace(orientation="sideways")
+    with pytest.raises(ValueError, match="orientation must be"):
+        TriCell._make((0, 0, "sideways"))
+    assert type(cell._replace(v=2)) is TriCell and cell._replace(v=2) == (0, 2, "up")
+    tile = Tile(TriCell(0, 0, "down"), TriCell(0, 0, "up"))
+    with pytest.raises(ValueError, match="not adjacent"):
+        tile._replace(up=TriCell(9, 9, "up"))
+    with pytest.raises(ValueError, match="one down cell"):
+        Tile._make((cell, cell))
+    assert tile._replace(up=TriCell(1, 0, "up")).lean == FLAT
+
+
 def test_region_sizes_worked_example():
     p = HexagonParams(2, 1, 1, 2, 2, 1)
     region = build_region(p)

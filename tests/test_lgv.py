@@ -3,16 +3,22 @@ import gc
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexcount.closedform import count_theorem1
+from hexcount.closedform import count_propp, count_theorem1
 from hexcount.exact import binomial
-from hexcount.geometry import build_region
+from hexcount.geometry import build_region, extend_to_full_hexagon, paths_to_tiling
 from hexcount.lgv import HexagonParams
-from hexcount.oracle import enumerate_constrained_pp
+from hexcount.oracle import (
+    enumerate_constrained_pp,
+    enumerate_path_families,
+    enumerate_plane_partitions_box,
+    iter_path_families,
+)
 from hexcount.lgv import (
     CondensationStats,
     CountMatrix,
@@ -322,6 +328,32 @@ def test_hexagon_params_is_the_validated_plain_tuple():
     assert count_theorem1(plain) == count_theorem1(p) == 81
     assert enumerate_constrained_pp(plain) == enumerate_constrained_pp(p) == 81
     assert build_region(plain) is build_region(p)
+
+
+def test_parameters_must_be_integers():
+    with pytest.raises(TypeError, match=r"^position r must be an integer, got 1\.0$"):
+        HexagonParams(1, 1, 1, 1.0, 1, 1)
+    calls = [
+        lambda: count_theorem1((1, 1, 1, 1, 1, 1.0)),
+        lambda: build_matrix_M(1.0, 1, 1, 1, 1, 1),
+        lambda: enumerate_path_families((1, 1, 1, 1, 1.0, 1)),
+        lambda: enumerate_constrained_pp((1, 1, 1.0, 1, 1, 1)),
+        lambda: enumerate_plane_partitions_box(2, 2.0, 2),
+        lambda: count_propp(1.0),
+        lambda: count_propp(Fraction(1)),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="must be an integer, got"):
+            call()
+    # a bool is an integer, stored as a plain int
+    assert [type(v) for v in HexagonParams(True, 1, 1, 1, 1, 1)] == [int] * 6
+    # 1.0 == 1 shares a cache key, so a float tuple must not reach the region cache
+    with pytest.raises(TypeError, match="position t must be an integer"):
+        build_region((1, 1, 1, 1, 1, 1.0))
+    ones = (1, 1, 1, 1, 1, 1)
+    full = extend_to_full_hexagon(paths_to_tiling(next(iter_path_families(ones))))
+    assert full.region.params == ones
+    assert all(type(v) is int for v in full.region.params)
 
 
 @pytest.mark.parametrize("module", ["oracle", "geometry"])
