@@ -35,7 +35,7 @@ from decimal import Decimal
 from typing import Callable, Sequence
 
 from .closedform import count_propp, count_theorem1, identity_checks
-from .exact import ExactInt
+from .exact import ExactInt, _integer
 from .geometry import (
     build_full_region,
     build_region,
@@ -178,6 +178,14 @@ class _UsageError(Exception):
     pass
 
 
+def _usage(check: Callable, *args):
+    """``check(*args)``, with a ``ValueError`` from it as a usage error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _report(args: argparse.Namespace, p: HexagonParams,
             methods: Sequence[tuple[str, Callable]], **header: int) -> int:
     """Evaluate, print the report of ``args.command`` and return its exit code."""
@@ -191,23 +199,13 @@ def _report(args: argparse.Namespace, p: HexagonParams,
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
-def _params(args: argparse.Namespace) -> HexagonParams:
-    """The tuple a b c r s t of ``count`` and ``render``; an invalid one is
-    a usage error."""
-    try:
-        return HexagonParams(args.a, args.b, args.c, args.r, args.s, args.t)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    return _report(args, _params(args), _parse_methods(args.methods))
+    p = _usage(HexagonParams, args.a, args.b, args.c, args.r, args.s, args.t)
+    return _report(args, p, _parse_methods(args.methods))
 
 
 def cmd_propp(args: argparse.Namespace) -> int:
-    n = args.n
-    if n < 0:
-        raise _UsageError(f"n must be >= 0, got {n}")
+    n = _usage(_integer, "n", args.n, 0)
     p = HexagonParams(2 * n, 2 * n, 2 * n, n + 1, n + 1, n + 1)
     methods = [("special-form", lambda p, budget: count_propp(n)),
                ("formula", METHODS["formula"]), ("det", METHODS["det"])]
@@ -241,8 +239,7 @@ def run_verify(max_a: int, max_b: int, max_c: int, budget: int | None = None,
 
 def cmd_verify(args: argparse.Namespace) -> int:
     for name in ("max_a", "max_b", "max_c"):
-        if getattr(args, name) < 0:
-            raise _UsageError(f"--{name.replace('_', '-')} must be >= 0")
+        _usage(_integer, f"--{name.replace('_', '-')}", getattr(args, name), 0)
     summary = run_verify(args.max_a, args.max_b, args.max_c,
                          budget=args.budget, include_brute=not args.skip_brute)
     if args.json:
@@ -277,8 +274,8 @@ def run_identities(bound: int, trials: int, seed: int) -> dict:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    if args.bound < 0 or args.trials < 1:
-        raise _UsageError("--bound must be >= 0 and --trials >= 1")
+    _usage(_integer, "--bound", args.bound, 0)
+    _usage(_integer, "--trials", args.trials, 1)
     summary = run_identities(args.bound, args.trials, args.seed)
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -293,9 +290,8 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    p = _params(args)
-    if args.index < 0:
-        raise _UsageError(f"--index must be >= 0, got {args.index}")
+    p = _usage(HexagonParams, args.a, args.b, args.c, args.r, args.s, args.t)
+    _usage(_integer, "--index", args.index, 0)
     if args.region_only:
         region = build_full_region(p) if args.full else build_region(p)
         _write(args.out, render_svg(region))
@@ -403,10 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if "budget" in vars(args):  # a malformed budget fails before any work
-            try:
-                args.budget = Budget(args.budget).limit
-            except ValueError as exc:
-                raise _UsageError(str(exc))
+            args.budget = _usage(Budget, args.budget).limit
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

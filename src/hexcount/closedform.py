@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Sequence
 
-from .exact import ExactInt, Exponents
-from .lgv import HexagonParams, _integer, _matrix_unchecked, all_params, \
+from .exact import ExactInt, Exponents, _integer
+from .lgv import HexagonParams, _matrix_unchecked, all_params, \
     det_elimination, minor, validate_parameters, validate_sides, verify_desnanot_jacobi
 
 
@@ -86,9 +86,8 @@ def det_inner_closed(a: int, b: int, c: int, r: int) -> ExactInt:
 
     Only r enters: the deleted rows carried all the s- and t-dependence.
     """
-    if a < 1:
-        raise ValueError(f"side a must be >= 1, got {a}")
-    validate_parameters(a - 1, b, c, r, 1, 1)  # r in 1..a+1
+    a, b, c = validate_sides(_integer("side a", a, 1), b, c)
+    r = _integer("position r", r, 1, a + 1)
     x = Exponents()
     x.factorial(b + c + 3, a)
     x.factorial(a + c + 2 - r)
@@ -114,9 +113,7 @@ def det_m00_closed(a: int, b: int, c: int, r: int, s: int) -> ExactInt:
     factorials appear with negative length at the ends of the r range;
     ``Exponents.rising`` supplies the standard extension.
     """
-    if a < 1:
-        raise ValueError(f"side a must be >= 1, got {a}")
-    validate_parameters(a, b, c, r, s, 1)
+    a, b, c, r, s, _ = validate_parameters(_integer("side a", a, 1), b, c, r, s, 1)
     x = Exponents()
     for i in range(1, a + 1):
         x.rising(b + i + 3, c + 1 - i)
@@ -153,11 +150,13 @@ def check_krattenthaler_lemma(
             * prod_{2 <= i <= j <= n} (B_i - A_j).
 
     Returns True when the elimination determinant equals the product.
+    For n = 0 both are 1: the empty determinant and the empty products.
     """
     n = len(x)
-    if len(a_vals) != n - 1 or len(b_vals) != n - 1:
+    m = max(n - 1, 0)  # the number of A_2..A_n
+    if len(a_vals) != m or len(b_vals) != m:
         raise ValueError(
-            f"need exactly {n - 1} values A_2..A_n and B_2..B_n, "
+            f"need exactly {m} values A_2..A_n and B_2..B_n, "
             f"got {len(a_vals)} and {len(b_vals)}"
         )
 

@@ -9,14 +9,30 @@ package's convention of zero binomials outside the Pascal triangle, and
 though no package code calls it).  ``Exponents`` evaluates products and
 quotients of factorials, superfactorials and rising factorials of
 positive integers without forming any of them.  Nothing here caches.
+``_integer`` is the package's one integer rule, here at the bottom of
+the import graph so that every module can use it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 ExactInt = int
 factorial = math.factorial  # n! for n >= 0; ValueError below 0, TypeError on a float
+
+
+def _integer(name: str, value: int, lo: int, hi: int | None = None) -> int:
+    """The value as a plain int in lo..hi (no upper bound if hi is None); a
+    float raises ``TypeError``, an int out of range ``ValueError``, naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo or hi is not None and value > hi:
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
 class Exponents:
@@ -97,10 +113,8 @@ def _product(factors: list[int]) -> ExactInt:
 
 def superfactorial(n: int) -> ExactInt:
     """Product of k! for k = 0..n (inclusive), so superfactorial(0) == 1."""
-    if n < 0:
-        raise ValueError(f"superfactorial requires n >= 0, got {n}")
     x = Exponents()
-    x.superfactorial(n)
+    x.superfactorial(_integer("n", n, 0))
     return x.value()
 
 
@@ -110,9 +124,7 @@ def pochhammer(base: int, length: int) -> ExactInt:
     The empty product (length == 0) is 1.  The base may be any integer;
     a nonpositive base can legitimately make the product vanish.
     """
-    if length < 0:
-        raise ValueError(f"pochhammer requires length >= 0, got {length}")
-    return math.prod(range(base, base + length))
+    return math.prod(range(base, base + _integer("length", length, 0)))
 
 
 def binomial(n: int, k: int) -> ExactInt:
@@ -122,6 +134,6 @@ def binomial(n: int, k: int) -> ExactInt:
     n >= 0 by construction, so a negative n indicates a caller bug rather
     than an out-of-range lattice path.
     """
-    if n < 0:
+    if n < 0:  # not _integer, which costs nearly a binomial: M calls this per entry
         raise ValueError(f"binomial requires n >= 0, got {n}")
     return math.comb(n, k) if k >= 0 else 0  # math.comb is 0 for k > n

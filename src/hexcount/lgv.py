@@ -8,8 +8,8 @@ matrix whose (i, j) entry counts the paths from start i to end j.
 The parameter domain is stated here once, for every route:
 ``validate_parameters``, the 6-tuple ``HexagonParams`` validated when it
 is built, and ``all_params`` up to given sides.  Parameters are plain
-ints, taken by ``operator.index`` (a float raises ``TypeError``).  This
-module also builds the start/end configuration and the count matrix.
+ints, checked by ``exact._integer`` (a float raises ``TypeError``).
+This module also builds the start/end configuration and the count matrix.
 Every matrix argument goes through ``CountMatrix.from_rows``: a
 ``CountMatrix`` as is, raw rows with integer entries and a square shape.
 Two independent exact determinant algorithms follow:
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import ExactInt, binomial
+from .exact import ExactInt, _integer, binomial
 
 
 class LatticePoint(NamedTuple):
@@ -52,19 +52,6 @@ class LatticePoint(NamedTuple):
 
 _point = partial(tuple.__new__, LatticePoint)  # from (x, y), with no Python-level call
 _validating_make = classmethod(lambda cls, values: cls(*values))  # _replace validates
-
-
-def _integer(name: str, value: int, lo: int, hi: int | None = None) -> int:
-    """The value as a plain int in lo..hi (no upper bound if hi is None); a
-    float raises ``TypeError``, an int out of range ``ValueError``, naming it."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < lo or hi is not None and value > hi:
-        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
-    return value
 
 
 def validate_sides(a: int, b: int, c: int) -> tuple[int, int, int]:

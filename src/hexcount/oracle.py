@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .exact import ExactInt
+from .exact import ExactInt, _integer
 from .lgv import HexagonParams, LatticePoint, PointConfiguration, _point, \
     build_point_configuration, validate_sides
 
@@ -54,8 +54,8 @@ class Budget:
             if limit <= 0:
                 raise ValueError(f"{BUDGET_ENV_VAR} must be a positive "
                                  f"integer, got {raw!r}")
-        elif limit <= 0:
-            raise ValueError(f"budget must be positive, got {limit}")
+        else:
+            limit = _integer("budget", limit, 1)
         self.limit = limit
         self.used = 0
 

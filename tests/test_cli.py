@@ -339,6 +339,22 @@ def test_render_index_out_of_range(tmp_path, capsys):
     assert "only 1 tilings exist" in err
 
 
+def test_usage_errors_name_the_flag_and_the_value(tmp_path, capsys):
+    target = str(tmp_path / "x.svg")
+    for argv, message in (
+        (("verify", "--max-b", "-1"), "--max-b must be >= 0, got -1"),
+        (("identities", "--bound", "-1"), "--bound must be >= 0, got -1"),
+        (("identities", "--trials", "0"), "--trials must be >= 1, got 0"),
+        (("count", "1", "1", "1", "1", "1", "1", "--budget", "0"),
+         "budget must be >= 1, got 0"),
+        (("propp", "-1"), "n must be >= 0, got -1"),
+        (("render", "1", "1", "1", "1", "1", "1", "--out", target, "--index", "-3"),
+         "--index must be >= 0, got -3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+
+
 
 def test_render_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.svg"

@@ -178,6 +178,8 @@ def test_minor_formula_domains():
         det_inner_closed(0, 1, 1, 1)
     with pytest.raises(ValueError, match="position s"):
         det_m00_closed(2, 1, 1, 1, 5)
+    with pytest.raises(TypeError, match=r"side a must be an integer, got 2\.5"):
+        det_inner_closed(2.5, 1, 1, 1)
 
 
 # ----------------------------------------------------------------- identities
@@ -226,6 +228,7 @@ def test_krattenthaler_lemma_random(data):
 def test_krattenthaler_lemma_arity_check():
     with pytest.raises(ValueError):
         check_krattenthaler_lemma([1, 2, 3], [1], [1, 2])
+    assert check_krattenthaler_lemma([], [], [])  # n = 0: both sides are 1
 
 
 def test_relabelling_identities_report():

@@ -29,6 +29,8 @@ def test_superfactorial_known_values():
     assert superfactorial(1) == 1
     assert superfactorial(3) == 1 * 1 * 2 * 6
     assert superfactorial(4) == 288
+    with pytest.raises(TypeError, match="n must be an integer"):
+        superfactorial(2.0)
 
 
 @given(st.integers(min_value=1, max_value=40))

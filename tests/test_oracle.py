@@ -39,6 +39,8 @@ def test_budget_spend_raises_past_limit():
     assert info.value.limit == 3
     with pytest.raises(ValueError):
         Budget(0)
+    with pytest.raises(TypeError):
+        Budget(2.5)
 
 
 def test_enumeration_stops_at_budget():
