@@ -13,6 +13,8 @@ Subcommands:
 
 ``count``, ``propp`` and ``verify`` run their methods through one timed
 loop, ``_evaluate``, and judge agreement by one rule, ``RunReport.agree``.
+Each ``cmd_*`` returns its summary dict, text lines and verdict; ``main``
+alone prints one or the other (JSON under ``--json``) and picks the exit code.
 
 Exit codes: 0 all methods agree, 1 disagreement, 2 usage error
 (including an output file that cannot be written), 3 enumeration
@@ -58,6 +60,7 @@ EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+Outcome = tuple[dict | None, list[str], bool]  # summary, text lines, verdict
 
 
 def _decimal(value: ExactInt) -> str:
@@ -78,10 +81,14 @@ class MethodResult:
     def shown_note(self) -> str:
         return f"skipped: {self.note}" if self.note else ""
 
+    @functools.cached_property
+    def shown_value(self) -> str | None:  # once: _decimal is quadratic
+        return None if self.value is None else _decimal(self.value)
+
     def to_dict(self) -> dict:
         return {
             "method": self.method,
-            "value": None if self.value is None else _decimal(self.value),
+            "value": self.shown_value,
             "elapsed": round(self.elapsed, 6),
             "note": self.shown_note,
         }
@@ -109,14 +116,14 @@ class RunReport:
             "notes": [],  # kept in the schema; no run writes a note
         }
 
-    def print_text(self) -> None:
+    def lines(self) -> list[str]:
         header = " ".join(f"{k}={v}" for k, v in self.params.items())
-        print(f"{self.command} {header}".rstrip())
+        lines = [f"{self.command} {header}".rstrip()]
         for r in self.results:
-            value = "-" if r.value is None else _decimal(r.value)
             note = f"  [{r.shown_note}]" if r.note else ""
-            print(f"  {r.method:<14} {value}{note}  ({r.elapsed:.3f}s)")
-        print(f"  agree: {'yes' if self.agree else 'NO'}")
+            lines.append(f"  {r.method:<14} {r.shown_value or '-'}{note}"
+                         f"  ({r.elapsed:.3f}s)")
+        return lines + [f"  agree: {'yes' if self.agree else 'NO'}"]
 
 
 METHODS: dict[str, Callable[[HexagonParams, int | None], ExactInt]] = {
@@ -187,24 +194,20 @@ def _usage(check: Callable, *args):
 
 
 def _report(args: argparse.Namespace, p: HexagonParams,
-            methods: Sequence[tuple[str, Callable]], **header: int) -> int:
-    """Evaluate, print the report of ``args.command`` and return its exit code."""
+            methods: Sequence[tuple[str, Callable]], **header: int) -> Outcome:
+    """Evaluate, and return the outcome of ``args.command``."""
     params = {**header, **{k: getattr(p, k) for k in "abcrst"}}
     budget = getattr(args, "budget", None)  # propp takes none
     report = RunReport(args.command, params, _evaluate(p, methods, budget))
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        report.print_text()
-    return EXIT_OK if report.agree else EXIT_DISAGREE
+    return report.to_dict(), report.lines(), report.agree
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> Outcome:
     p = _usage(HexagonParams, args.a, args.b, args.c, args.r, args.s, args.t)
     return _report(args, p, _parse_methods(args.methods))
 
 
-def cmd_propp(args: argparse.Namespace) -> int:
+def cmd_propp(args: argparse.Namespace) -> Outcome:
     n = _usage(_integer, "n", args.n, 0)
     p = HexagonParams(2 * n, 2 * n, 2 * n, n + 1, n + 1, n + 1)
     methods = [("special-form", lambda p, budget: count_propp(n)),
@@ -231,31 +234,24 @@ def run_verify(max_a: int, max_b: int, max_c: int, budget: int | None = None,
                     for r in report.results if r.value is None)
         if not report.agree:
             disagreements.append({"params": params, "values": {
-                r.method: _decimal(r.value)
+                r.method: r.shown_value
                 for r in report.results if r.value is not None}})
     return {"instances": instances, "disagreements": disagreements,
             "skipped": skipped, "ok": not disagreements}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Outcome:
     for name in ("max_a", "max_b", "max_c"):
         _usage(_integer, f"--{name.replace('_', '-')}", getattr(args, name), 0)
     summary = run_verify(args.max_a, args.max_b, args.max_c,
                          budget=args.budget, include_brute=not args.skip_brute)
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"checked {summary['instances']} parameter tuples "
-              f"(sides up to {args.max_a},{args.max_b},{args.max_c})")
-        for item in summary["skipped"]:
-            print(f"  skipped {item['method']} at {item['params']}: "
-                  f"{item['note']}")
-        if summary["ok"]:
-            print("all methods agree")
-        else:
-            for item in summary["disagreements"]:
-                print(f"  DISAGREEMENT at {item['params']}: {item['values']}")
-    return EXIT_OK if summary["ok"] else EXIT_DISAGREE
+    lines = [f"checked {summary['instances']} parameter tuples "
+             f"(sides up to {args.max_a},{args.max_b},{args.max_c})"]
+    lines += (f"  skipped {item['method']} at {item['params']}: {item['note']}"
+              for item in summary["skipped"])
+    lines += [f"  DISAGREEMENT at {item['params']}: {item['values']}"
+              for item in summary["disagreements"]] or ["all methods agree"]
+    return summary, lines, summary["ok"]
 
 
 def run_identities(bound: int, trials: int, seed: int) -> dict:
@@ -273,44 +269,37 @@ def run_identities(bound: int, trials: int, seed: int) -> dict:
             "failures": failures, "checks": checks, "ok": not failures}
 
 
-def cmd_identities(args: argparse.Namespace) -> int:
+def cmd_identities(args: argparse.Namespace) -> Outcome:
     _usage(_integer, "--bound", args.bound, 0)
     _usage(_integer, "--trials", args.trials, 1)
     summary = run_identities(args.bound, args.trials, args.seed)
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        for name, stats in summary["checks"].items():
-            print(f"  {name:<22} {stats['total']:>6} checks, "
-                  f"{stats['failed']} failed")
-        for failure in summary["failures"]:
-            print(f"  FAIL {failure}")
-        print("all identities hold" if summary["ok"] else "identities FAILED")
-    return EXIT_OK if summary["ok"] else EXIT_DISAGREE
+    lines = [f"  {name:<22} {stats['total']:>6} checks, {stats['failed']} failed"
+             for name, stats in summary["checks"].items()]
+    lines += (f"  FAIL {failure}" for failure in summary["failures"])
+    lines.append("all identities hold" if summary["ok"] else "identities FAILED")
+    return summary, lines, summary["ok"]
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace) -> Outcome:
     p = _usage(HexagonParams, args.a, args.b, args.c, args.r, args.s, args.t)
     _usage(_integer, "--index", args.index, 0)
     if args.region_only:
-        region = build_full_region(p) if args.full else build_region(p)
-        _write(args.out, render_svg(region))
-        print(f"wrote {args.out}")
-        return EXIT_OK
-
-    total = 0
-    for total, family in enumerate(iter_path_families(p, args.budget), 1):
-        if total > args.index:
-            break
+        shape = build_full_region(p) if args.full else build_region(p)
+        shown = ""
     else:
-        raise _UsageError(f"--index {args.index} out of range: "
-                          f"only {total} tilings exist")
-    tiling = paths_to_tiling(family)
-    if args.full:
-        tiling = extend_to_full_hexagon(tiling)
-    _write(args.out, render_svg(tiling))
-    print(f"wrote {args.out} (tiling {args.index})")
-    return EXIT_OK
+        total = 0
+        for total, family in enumerate(iter_path_families(p, args.budget), 1):
+            if total > args.index:
+                break
+        else:
+            raise _UsageError(f"--index {args.index} out of range: "
+                              f"only {total} tilings exist")
+        shape = paths_to_tiling(family)
+        if args.full:
+            shape = extend_to_full_hexagon(shape)
+        shown = f" (tiling {args.index})"
+    _write(args.out, render_svg(shape))
+    return None, [f"wrote {args.out}{shown}"], True
 
 
 def _write(path: str, text: str) -> None:
@@ -400,7 +389,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if "budget" in vars(args):  # a malformed budget fails before any work
             args.budget = _usage(Budget, args.budget).limit
-        return args.func(args)
+        summary, lines, ok = args.func(args)
+        print(json.dumps(summary, indent=2) if getattr(args, "json", False)
+              else "\n".join(lines))
+        return EXIT_OK if ok else EXIT_DISAGREE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,8 +22,8 @@ ExactInt = int
 factorial = math.factorial  # n! for n >= 0; ValueError below 0, TypeError on a float
 
 
-def _integer(name: str, value: int, lo: int, hi: int | None = None) -> int:
-    """The value as a plain int in lo..hi (no upper bound if hi is None); a
+def _integer(name: str, value: int, lo: float, hi: int | None = None) -> int:
+    """The value as a plain int in lo..hi (lo may be -math.inf, hi None); a
     float raises ``TypeError``, an int out of range ``ValueError``, naming it."""
     try:
         value = operator.index(value)
@@ -124,6 +124,7 @@ def pochhammer(base: int, length: int) -> ExactInt:
     The empty product (length == 0) is 1.  The base may be any integer;
     a nonpositive base can legitimately make the product vanish.
     """
+    base = _integer("base", base, -math.inf)
     return math.prod(range(base, base + _integer("length", length, 0)))
 
 
@@ -134,6 +135,8 @@ def binomial(n: int, k: int) -> ExactInt:
     n >= 0 by construction, so a negative n indicates a caller bug rather
     than an out-of-range lattice path.
     """
-    if n < 0:  # not _integer, which costs nearly a binomial: M calls this per entry
+    if type(n) is not int or type(k) is not int:  # cheaper than _integer per M entry
+        return binomial(_integer("n", n, -math.inf), _integer("k", k, -math.inf))
+    if n < 0:
         raise ValueError(f"binomial requires n >= 0, got {n}")
     return math.comb(n, k) if k >= 0 else 0  # math.comb is 0 for k > n

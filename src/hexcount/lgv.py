@@ -228,7 +228,7 @@ def build_matrix_M(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatri
 
 
 def minor(
-    matrix: CountMatrix,
+    matrix: CountMatrix | Sequence[Sequence[int]],
     delete_rows: Iterable[int] = (),
     delete_cols: Iterable[int] = (),
 ) -> CountMatrix:
@@ -237,6 +237,7 @@ def minor(
     Deletion is by label, not position, so minors compose.  The result
     must stay square.
     """
+    matrix = CountMatrix.from_rows(matrix)
     dr = set(delete_rows)
     dc = set(delete_cols)
     missing = dr - set(matrix.row_labels)

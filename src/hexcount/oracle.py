@@ -129,13 +129,16 @@ def family_to_line(family: PathFamily) -> str:
 
 
 def parse_family_line(line: str, config: PointConfiguration) -> PathFamily:
-    """Inverse of family_to_line."""
+    """Inverse of family_to_line; a malformed vertex raises ``ValueError``."""
     paths = []
-    for chunk in line.strip().split(";"):
+    for index, chunk in enumerate(line.strip().split(";")):
         vertices = []
         for pair in chunk.split(","):
-            xs, ys = pair.split()
-            vertices.append(LatticePoint(int(xs), int(ys)))
+            try:
+                xs, ys = pair.split()
+                vertices.append(LatticePoint(int(xs), int(ys)))
+            except ValueError:
+                raise ValueError(f"path {index}: malformed vertex {pair!r}") from None
         paths.append(MonotonePath(tuple(vertices)))
     return PathFamily(config, tuple(paths))
 

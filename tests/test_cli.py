@@ -440,6 +440,19 @@ def test_count_runs_a_repeated_method_once_per_mention(capsys):
         ("formula", "35"), ("formula", "35")]
 
 
+def test_each_count_is_converted_to_decimal_once(capsys, monkeypatch):
+    calls = []
+    decimal = cli._decimal
+    monkeypatch.setattr(cli, "_decimal", lambda value: calls.append(value)
+                        or decimal(value))
+    for extra in ((), ("--json",)):
+        calls.clear()
+        code, out, err = run(capsys, "count", "1", "1", "1", "1", "1", "1",
+                             "--methods", "formula,det", *extra)
+        assert code == EXIT_OK
+        assert calls == [35, 35], extra
+
+
 def test_report_agreement_logic():
     report = RunReport("count", {"a": 0})
     report.results.append(MethodResult("formula", 5, 0.0))

@@ -90,6 +90,8 @@ def test_pochhammer_basics():
     assert pochhammer(-5, 3) == -5 * -4 * -3
     with pytest.raises(ValueError):
         pochhammer(3, -1)
+    with pytest.raises(TypeError, match=r"base must be an integer, got 2\.5"):
+        pochhammer(2.5, 2)
 
 
 @given(st.integers(min_value=-30, max_value=30), st.integers(min_value=0, max_value=15))
@@ -103,6 +105,10 @@ def test_binomial_zero_convention():
     assert binomial(0, 0) == 1
     with pytest.raises(ValueError):
         binomial(-1, 0)
+    for n, k, message in ((5, -1.0, r"k .* got -1\.0"), (5.0, 2, r"n .* got 5\.0"),
+                          (5, 2.0, r"k .* got 2\.0")):
+        with pytest.raises(TypeError, match=message):
+            binomial(n, k)
 
 
 @given(st.integers(min_value=0, max_value=60), st.integers(min_value=-5, max_value=65))

@@ -144,6 +144,7 @@ def test_minor_deletes_by_label():
     # labels persist: deleting label 2 from the minor removes its last row
     again = minor(inner, (2,), (1,))
     assert again.entries == ((4,),)
+    assert minor([[1, 2], [3, 4]], (0,), (0,)).entries == ((4,),)  # raw rows
 
 
 def test_minor_errors():
@@ -169,6 +170,8 @@ def test_raw_rows_must_be_square_and_integer():
                   CountMatrix.from_rows):
         with pytest.raises(TypeError):
             check([[0.5, 1], [1, 1]])
+    with pytest.raises(TypeError):
+        minor([[0.5, 1], [1, 1]], (0,), (0,))
     for det in (det_elimination, det_condensation):
         for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]):
             with pytest.raises(ValueError, match="square"):

@@ -270,6 +270,16 @@ def test_family_line_round_trip():
         assert parse_family_line(line, cfg) == family
 
 
+def test_family_line_errors_name_the_path_and_the_vertex():
+    cfg = build_point_configuration(2, 1, 1, 2, 2, 1)
+    with pytest.raises(ValueError, match=r"^path 0: malformed vertex ''$"):
+        parse_family_line("", cfg)
+    with pytest.raises(ValueError, match=r"^path 0: malformed vertex 'x 2'$"):
+        parse_family_line("0 1,x 2;1 2", cfg)
+    with pytest.raises(ValueError, match=r"^path 1: malformed vertex '1'$"):
+        parse_family_line("0 1;1", cfg)
+
+
 @given(
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=2),
