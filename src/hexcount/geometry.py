@@ -14,9 +14,10 @@ picture the three cases are a flat rhombus, one leaning up to the
 right, and one leaning down to the right.
 
 Cells and tiles are tuples, (u, v, orientation) and (down, up), so they
-sort and hash as tuples do.  Each is validated when it is constructed,
-and by ``_replace``: a cell's orientation is 'up' or 'down', and a
-tile's cells are an adjacent down/up pair.
+sort and hash as tuples do.  A caller's are validated when constructed
+and by ``_replace`` (a cell's orientation is 'up' or 'down', a tile's
+cells an adjacent down/up pair); the region builder, the tiles of a
+tiling and the bijections build theirs unchecked, valid as built.
 
 A Tiling holds one lean code per entry of its region's sorted down
 cells (0 flat, 1 rising, 2 falling) and derives its tiles on demand;
@@ -53,9 +54,9 @@ from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Iterable, NamedTuple, Sequence
 
-from .lgv import HexagonParams, LatticePoint, PointConfiguration, _point, \
+from .lgv import HexagonParams, LatticePoint, PointConfiguration, _unchecked, \
     _validating_make, build_point_configuration
-from .oracle import MonotonePath, PathFamily, PlanePartition
+from .oracle import PathFamily, PlanePartition, _family
 
 UP = "up"
 DOWN = "down"
@@ -225,12 +226,13 @@ def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
     # in u..u+1 and y in v..v+1, which the ranges of u and v keep in
     # bounds, and x+y in u+v+d..u+v+d+1, d = 0 up and 1 down, which bound
     # v.  Keyed on the plain 6-tuple, so a hit builds no HexagonParams.
+    # Cells and region are built unchecked: orientation and kind are literal.
     p = HexagonParams(*key)
     a, b, c = p.a, p.b, p.c
     step = 1 if kind == "full" else 0
     x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
     cells = {
-        TriCell(u, v, orientation)
+        tuple.__new__(TriCell, (u, v, orientation))
         for u in range(x_lo, a + b + 2)
         for orientation, d in ((UP, 0), (DOWN, 1))
         for v in range(max(y_lo, -c - 4 - u - d), min(0, sum_hi - u - d))
@@ -240,7 +242,7 @@ def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
             if cell not in cells:
                 raise AssertionError(f"notch cell {cell} not inside the hexagon")
             cells.remove(cell)
-    return Region(kind, p, frozenset(cells))
+    return _unchecked(Region, kind=kind, params=p, cells=frozenset(cells))
 
 
 def build_region(p: HexagonParams | Sequence[int]) -> Region:
@@ -275,8 +277,8 @@ class Tiling:
     region: Region
     leans: bytes
 
-    def __init__(self, region: Region, tiles: Sequence[Tile]) -> None:
-        if list(tiles) != sorted(tiles):
+    def __init__(self, region: Region, tiles: Iterable[Tile]) -> None:
+        if (tiles := tuple(tiles)) != tuple(sorted(tiles)):
             raise ValueError("tiles must be listed in sorted order")
         leans = bytes(_LEANS.index(tile.lean) for tile in tiles)
         if ([tile.down for tile in tiles] != list(region.down_cells)
@@ -290,16 +292,14 @@ class Tiling:
         the same check as the public one, _partitions, on the codes."""
         if not _partitions(region, leans):
             raise ValueError("lean codes do not partition the region")
-        tiling = object.__new__(cls)
-        vars(tiling).update(region=region, leans=bytes(leans))
-        return tiling
+        return _unchecked(cls, region=region, leans=bytes(leans))
 
     @cached_property
     def tiles(self) -> tuple[Tile, ...]:
-        """The tiles in sorted order, derived from the codes."""
-        return tuple(Tile(down, TriCell(down.u + du, down.v + dv, UP))
-                     for down, (du, dv) in zip(self.region.down_cells,
-                                               map(_OFFSETS.__getitem__, self.leans)))
+        """The tiles in sorted order, from the codes: adjacent pairs, unchecked."""
+        return tuple(tuple.__new__(Tile, (down, tuple.__new__(TriCell, (
+            down.u + du, down.v + dv, UP)))) for down, (du, dv) in zip(
+                self.region.down_cells, map(_OFFSETS.__getitem__, self.leans)))
 
 
 def _lay_tiles(region: Region,
@@ -330,7 +330,8 @@ def _trace_paths(
 ) -> list[list[tuple[int, int]]]:
     """Follow one path per (start, end) pair across the tiling, as a list
     of (x, y) pairs: a flat tile is a right step, a rising tile a down
-    step, and a path stops where it leaves the region."""
+    step, and a path stops where it leaves the region.  Traces that meet
+    coincide from there on, so the check of distinct ends proves them disjoint."""
     entries, leans = tiling.region._tables, tiling.leans
     paths = []
     for (x, y), end in endpoints:
@@ -349,12 +350,12 @@ def _trace_paths(
 
 
 def tiling_to_paths(tiling: Tiling) -> PathFamily:
-    """Inverse of paths_to_tiling.  Requires a working-region tiling."""
+    """Inverse of paths_to_tiling.  Requires a working-region tiling.  The
+    family is valid as traced (see _trace_paths), so built unchecked."""
     if tiling.region.kind != "notched":
         raise ValueError("path extraction needs a working-region tiling")
     cfg = tiling.region._config
-    paths = _trace_paths(tiling, zip(cfg.starts, cfg.ends))
-    return PathFamily(cfg, tuple(MonotonePath(tuple(map(_point, path))) for path in paths))
+    return _family(cfg, _trace_paths(tiling, zip(cfg.starts, cfg.ends)))
 
 
 def extend_to_full_hexagon(tiling: Tiling) -> Tiling:
@@ -382,18 +383,16 @@ def tiling_to_plane_partition(tiling: Tiling) -> PlanePartition:
     The full hexagon carries a+2 paths of its own (running start k =
     (k-1, c+k+2) to (b+1+k, k)), the working paths lengthened by the
     border walks; entry j of row a+1-k is the height of path k during
-    its (j+1)-th right step, minus k.
-    """
+    its (j+1)-th right step, minus k: valid, as the paths are disjoint."""
     if tiling.region.kind != "full":
         raise ValueError("plane-partition extraction needs a full-hexagon "
                          "tiling; see extend_to_full_hexagon")
-    p = tiling.region.params
-    a, b, c = p.a, p.b, p.c
+    a, b, c = tiling.region.params[:3]
     paths = _trace_paths(tiling, (((k - 1, c + k + 2), (b + 1 + k, k))
                                   for k in range(a + 2)))
     rows = [tuple(y - k for (x, y), (nx, _) in pairwise(path) if nx == x + 1)
             for k, path in enumerate(paths)]
-    return PlanePartition(tuple(reversed(rows)))
+    return _unchecked(PlanePartition, rows=tuple(reversed(rows)))
 
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0

@@ -54,6 +54,11 @@ _point = partial(tuple.__new__, LatticePoint)  # from (x, y), with no Python-lev
 _validating_make = classmethod(lambda cls, values: cls(*values))  # _replace validates
 
 
+def _unchecked(cls: type, **fields: object):  # a frozen dataclass, no __post_init__
+    vars(instance := object.__new__(cls)).update(fields)
+    return instance
+
+
 def validate_sides(a: int, b: int, c: int) -> tuple[int, int, int]:
     """Check that the sides a, b, c are nonnegative integers, naming the
     offender, and return them as plain ints."""

@@ -7,20 +7,23 @@ restricted to the boundary pattern that encodes the three fixed border
 tiles.  Both are deterministic (fixed visit order) and budgeted: every
 search-tree node expansion spends one unit, and exceeding the budget
 raises rather than returning a partial count.  Each loop keeps its node
-count in a local, written to ``Budget.used`` before every yield or emit,
-on exhaustion and on the raise.  Neither search recurses, so neither has
-a depth limit: the path search keeps an explicit stack, the fill none.
+count in a local, written to ``Budget.used`` before every yield or emit
+(and read back after it), on exhaustion and on the raise.  Neither
+search recurses, so neither has a depth limit: the path search keeps an
+explicit stack, the fill none.  A public constructor checks what a
+caller hands it; what the searches emit is valid as built, so unchecked.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import ExactInt, _integer
 from .lgv import HexagonParams, LatticePoint, PointConfiguration, _point, \
-    build_point_configuration, validate_sides
+    _unchecked, build_point_configuration, validate_sides
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "HEXCOUNT_BUDGET"
@@ -66,9 +69,7 @@ class Budget:
 
 
 def _resolve_budget(budget: int | Budget | None) -> Budget:
-    if isinstance(budget, Budget):
-        return budget
-    return Budget(budget)
+    return budget if isinstance(budget, Budget) else Budget(budget)
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ class MonotonePath:
     def __post_init__(self) -> None:
         if not self.vertices:
             raise ValueError("a path needs at least one vertex")
+        for value in (value for point in self.vertices for value in point):
+            _integer("a path coordinate", value, -math.inf)
         for p, q in zip(self.vertices, self.vertices[1:]):
             step = (q.x - p.x, q.y - p.y)
             if step not in ((1, 0), (0, -1)):
@@ -143,6 +146,13 @@ def parse_family_line(line: str, config: PointConfiguration) -> PathFamily:
     return PathFamily(config, tuple(paths))
 
 
+def _family(config: PointConfiguration,
+            walks: Iterable[Sequence[tuple[int, int]]]) -> PathFamily:
+    """The producers' one way to make a family, unchecked: path i from walks[i]."""
+    return _unchecked(PathFamily, config=config, paths=tuple(
+        _unchecked(MonotonePath, vertices=tuple(map(_point, walk))) for walk in walks))
+
+
 def _path_search(
     p: HexagonParams | Sequence[int] | PointConfiguration,
     budget: int | Budget | None,
@@ -154,9 +164,8 @@ def _path_search(
     holds the vertices of every path so far as (x, y) pairs; popping one
     truncates the walk and ``occupied`` back to it.  A family is built
     from the walk, path i being walk[first[i]:first[i+1]], only when it
-    is emitted.  The node count is a local, written to ``Budget.used``
-    before each yield (and read back after it), on exhaustion and on the
-    raise."""
+    is emitted, valid as built: each path steps right or down from its
+    start to its end, and ``occupied`` keeps the paths disjoint."""
     config = p if isinstance(p, PointConfiguration) else build_point_configuration(*p)
     tracker = _resolve_budget(budget)
     starts, ends = [tuple(q) for q in config.starts], [tuple(q) for q in config.ends]
@@ -190,9 +199,8 @@ def _path_search(
         index += 1
         if index == size:
             tracker.used = used
-            yield PathFamily(config, tuple(
-                MonotonePath(tuple(map(_point, walk[i:j])))
-                for i, j in zip(first, [*first[1:], length]))) if build else None
+            yield _family(config, (walk[i:j] for i, j in zip(
+                first, [*first[1:], length]))) if build else None
             used = tracker.used
         elif starts[index] not in occupied:
             first[index] = length
@@ -236,12 +244,11 @@ class PlanePartition:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        widths = {len(row) for row in self.rows}
-        if len(widths) > 1:
+        if len({len(row) for row in self.rows}) > 1:
             raise ValueError("rows must have equal length")
         for i, row in enumerate(self.rows):
             for j, v in enumerate(row):
-                if v < 0:
+                if _integer(f"entry ({i}, {j})", v, -math.inf) < 0:
                     raise ValueError(f"negative entry at ({i}, {j})")
                 if j + 1 < len(row) and row[j + 1] > v:
                     raise ValueError(f"row {i} increases at column {j + 1}")
@@ -263,11 +270,11 @@ def _fill_cells(height: int, width: int, top: int,
 
     The array is filled cell by cell in row-major order, each cell from its
     cap min(above, left) down to 0, so the arrays come in lexicographically
-    decreasing order.  There is no stack and no recursion: a backtrack
-    lowers the last cell past the prefix that is above 0, and the cells
-    after it are re-capped on the way forward.  Each entry tried spends one
-    unit; the prefix spends none.  ``Budget.used`` gets the local count
-    before each emit (read back after it), on exhaustion and on the raise."""
+    decreasing order, each valid as built, every entry in 0..min(above,
+    left).  There is no stack and no recursion: a backtrack lowers the last
+    cell past the prefix that is above 0, and the cells after it are
+    re-capped on the way forward.  Each entry tried spends one unit; the
+    prefix spends none."""
     cells = [top] * width + list(prefix)  # a row of caps above row 0
     start, end = len(cells), (height + 1) * width
     cells += [0] * (end - start)
@@ -285,7 +292,7 @@ def _fill_cells(height: int, width: int, top: int,
                 count += 1
                 if emit is not None:
                     tracker.used = used
-                    emit(PlanePartition(tuple(
+                    emit(_unchecked(PlanePartition, rows=tuple(
                         tuple(cells[i:i + width]) for i in range(width, end, width))))
                     used = tracker.used
             k -= 1

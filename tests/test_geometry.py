@@ -33,6 +33,8 @@ from hexcount.lgv import LatticePoint, build_point_configuration
 from hexcount.oracle import (
     MonotonePath,
     PathFamily,
+    PlanePartition,
+    enumerate_constrained_pp,
     enumerate_path_families,
     iter_path_families,
 )
@@ -227,6 +229,7 @@ def test_tiling_must_partition_region():
         Tiling(tiling.region, tiling.tiles[:-1])
     with pytest.raises(ValueError, match="sorted"):
         Tiling(tiling.region, tuple(reversed(tiling.tiles)))
+    assert Tiling(tiling.region, iter(tiling.tiles)) == tiling
 
 
 def test_derived_tiles_are_pinned_and_rebuild_the_tiling():
@@ -403,6 +406,53 @@ def test_wrong_region_kinds_are_rejected():
         tiling_to_plane_partition(tiling)
     with pytest.raises(ValueError, match="working-region"):
         extend_to_full_hexagon(extended)
+
+
+def test_traced_paths_must_end_at_their_ends():
+    # a notched region built by hand from the full hexagon's cells: the
+    # traces run on along the border walks, past the working ends
+    tiling = paths_to_tiling(worked_example_family())
+    full = build_full_region(tiling.region.params)
+    fake = Region("notched", full.params, full.cells)
+    with pytest.raises(ValueError, match=re.escape(
+            "path from (0, 2) ends at (2, 0), expected (1, 0)")):
+        tiling_to_paths(Tiling._from_leans(fake, extend_to_full_hexagon(tiling).leans))
+    # public constructors reach a falling tile: the working cells of
+    # t = 2 under the parameters of t = 1 move P_0 down onto one
+    tiling = paths_to_tiling(next(iter_path_families((0, 0, 0, 1, 1, 2))))
+    fake = Region("notched", HexagonParams(0, 0, 0, 1, 1, 1), tiling.region.cells)
+    with pytest.raises(ValueError, match=re.escape(
+            "falling tile blocks the path at (0, 1)")):
+        tiling_to_paths(Tiling(fake, tiling.tiles))
+
+
+def test_every_producer_output_passes_the_public_checks():
+    # the producers build paths, families, cells, tiles and plane
+    # partitions unchecked; rebuilt through the public constructors,
+    # every one of them on the sides <= 1 sweep is accepted and equal
+    def checked(family):
+        return PathFamily(family.config,
+                          tuple(MonotonePath(path.vertices) for path in family.paths))
+
+    def check_pp(pp):
+        assert PlanePartition(pp.rows) == pp
+
+    tilings = 0
+    for p in all_params(1, 1, 1):
+        for region in (build_region(p), build_full_region(p)):
+            assert region.cells == {TriCell(*cell) for cell in region.cells}
+        for family in iter_path_families(p):
+            assert checked(family) == family
+            tiling = paths_to_tiling(family)
+            back = tiling_to_paths(tiling)
+            assert checked(back) == back
+            extended = extend_to_full_hexagon(tiling)
+            for t in (tiling, extended):
+                assert all(Tile(*tile) == tile for tile in t.tiles)
+            check_pp(tiling_to_plane_partition(extended))
+            tilings += 1
+        enumerate_constrained_pp(p, emit=check_pp)
+    assert tilings == 930
 
 
 @given(

@@ -62,6 +62,8 @@ def test_monotone_path_validation():
         MonotonePath((LatticePoint(0, 0), LatticePoint(1, 1)))
     with pytest.raises(ValueError):
         MonotonePath(())
+    with pytest.raises(TypeError, match="a path coordinate must be an integer, got 0.0"):
+        MonotonePath((LatticePoint(0.0, 1), LatticePoint(1.0, 1)))
 
 
 def test_path_family_validation():
@@ -307,6 +309,8 @@ def test_plane_partition_validation():
         PlanePartition(((-1,),))
     with pytest.raises(ValueError, match="equal length"):
         PlanePartition(((1, 1), (1,)))
+    with pytest.raises(TypeError, match="entry \\(0, 1\\) must be an integer, got 1.5"):
+        PlanePartition(((2, 1.5), (1, 0)))
 
 
 def test_plane_partition_text():
