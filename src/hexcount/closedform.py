@@ -72,7 +72,7 @@ def count_macmahon_box(a: int, b: int, c: int) -> ExactInt:
     0! 1! ... (n-1)!, with the convention that an empty product (any
     side 0) gives 1.
     """
-    validate_sides(a, b, c)
+    a, b, c = validate_sides(a, b, c)
     x = Exponents()
     for n, e in ((a, 1), (b, 1), (c, 1), (a + b + c, 1),
                  (a + b, -1), (b + c, -1), (a + c, -1)):
@@ -229,7 +229,7 @@ def check_relabelling_identities(
     value, for both the inner minor and the first minor, and the inner
     minor collapses one step further out as well.
     """
-    validate_parameters(a, b, c, r, s, t)
+    a, b, c, r, s, t = validate_parameters(a, b, c, r, s, t)
     star = 1
     n = a + 1  # label of the last row/column of M
 

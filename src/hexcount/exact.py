@@ -136,7 +136,7 @@ def binomial(n: int, k: int) -> ExactInt:
     than an out-of-range lattice path.
     """
     if type(n) is not int or type(k) is not int:  # cheaper than _integer per M entry
-        return binomial(_integer("n", n, -math.inf), _integer("k", k, -math.inf))
+        n, k = _integer("n", n, -math.inf), _integer("k", k, -math.inf)
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got {n}")
     return math.comb(n, k) if k >= 0 else 0  # math.comb is 0 for k > n

@@ -127,7 +127,8 @@ class Tile(_TileFields):
 @dataclass(frozen=True)
 class Region:
     """A finite set of lattice cells, either the working ('notched')
-    region or the full hexagon."""
+    region or the full hexagon.  A caller's params are checked, and kept
+    as the HexagonParams that the region cache is keyed on."""
 
     kind: str
     params: HexagonParams
@@ -136,6 +137,7 @@ class Region:
     def __post_init__(self) -> None:
         if self.kind not in ("notched", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
+        object.__setattr__(self, "params", HexagonParams(*self.params))
 
     @cached_property
     def down_cells(self) -> tuple[TriCell, ...]:
@@ -191,7 +193,7 @@ class Region:
         (the s notch); path i leaves Q_i by a right step if i < r, else by
         a down step, so the r notch gets a falling tile."""
         a, b, c, r, s, t = self.params
-        work = build_region(self.params)
+        work = _build_region_cached(self.params, "notched")
         first, last = work._config.starts[0], work._config.starts[-1]
         walks = [[(-1, c + 2 - k) for k in range(t + 1)] + [first],
                  [(a + k, a + c + 3) for k in range(b + 3 - s)] + [last]]
@@ -202,14 +204,14 @@ class Region:
         return bytes(_lay_tiles(self, walks)), spans
 
 
-def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
+def notch_cells(p: HexagonParams | Sequence[int]) -> tuple[TriCell, TriCell, TriCell]:
     """The three removed up cells, in the order (t side, s side, r side).
 
     The t notch sits on the upper-left long side, t cells from its top;
     the s notch on the upper-right long side, s cells from the top; the
     r notch on the bottom side, r cells from the left.
     """
-    a, b, c, r, s, t = p
+    a, b, c, r, s, t = HexagonParams(*p)
     return (
         TriCell(-1, -t - 1, UP),
         TriCell(a + b + 1 - s, s - b - 3, UP),
@@ -218,16 +220,16 @@ def notch_cells(p: HexagonParams) -> tuple[TriCell, TriCell, TriCell]:
 
 
 @lru_cache(maxsize=4)  # a tuple's traffic is its working and full regions
-def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
+def _build_region_cached(p: HexagonParams, kind: str) -> Region:
     # The cells whose vertices satisfy -1 <= x <= a+b+2, -b-c-3 <= y <= 0
     # and -c-4 <= x+y <= a-1, minus the notches.  The full hexagon reaches
     # one lattice step further on the lower bounds of x and y and on the
     # upper bound of x+y, and keeps the notches.  A cell's vertices have x
     # in u..u+1 and y in v..v+1, which the ranges of u and v keep in
     # bounds, and x+y in u+v+d..u+v+d+1, d = 0 up and 1 down, which bound
-    # v.  Keyed on the plain 6-tuple, so a hit builds no HexagonParams.
-    # Cells and region are built unchecked: orientation and kind are literal.
-    p = HexagonParams(*key)
+    # v.  Callers check p first: 1.0 == 1, so an unchecked tuple could hit
+    # its int twin.  Cells and region are built unchecked: orientation and
+    # kind are literal.
     a, b, c = p.a, p.b, p.c
     step = 1 if kind == "full" else 0
     x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
@@ -239,20 +241,18 @@ def _build_region_cached(key: tuple[int, ...], kind: str) -> Region:
     }
     if kind == "notched":
         for cell in notch_cells(p):
-            if cell not in cells:
-                raise AssertionError(f"notch cell {cell} not inside the hexagon")
             cells.remove(cell)
     return _unchecked(Region, kind=kind, params=p, cells=frozenset(cells))
 
 
 def build_region(p: HexagonParams | Sequence[int]) -> Region:
     """The working region: the notched hexagon that the path families tile."""
-    return _build_region_cached(tuple(p), "notched")
+    return _build_region_cached(HexagonParams(*p), "notched")
 
 
 def build_full_region(p: HexagonParams | Sequence[int]) -> Region:
     """The full a+2, c+2, b+2, a+2, c+2, b+2 hexagon."""
-    return _build_region_cached(tuple(p), "full")
+    return _build_region_cached(HexagonParams(*p), "full")
 
 
 def _partitions(region: Region, leans: bytes | bytearray) -> bool:
@@ -320,7 +320,7 @@ def paths_to_tiling(family: PathFamily) -> Tiling:
     """Tiling of the working region encoded by a nonintersecting family:
     the path-step rule (_lay_tiles) along its paths."""
     cfg = family.config
-    region = _build_region_cached((cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t), "notched")
+    region = build_region((cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t))
     return Tiling._from_leans(region, _lay_tiles(
         region, (path.vertices for path in family.paths)))
 
@@ -368,7 +368,7 @@ def extend_to_full_hexagon(tiling: Tiling) -> Tiling:
     """
     if tiling.region.kind != "notched":
         raise ValueError("extension needs a working-region tiling")
-    full = build_full_region(tiling.region.params)
+    full = _build_region_cached(tiling.region.params, "full")
     template, spans = full._border
     leans = bytearray(template)
     for start, stop, to in spans:

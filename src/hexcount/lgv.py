@@ -146,7 +146,7 @@ def build_point_configuration(
     positions t and s; the ends Q_j skip one index at j = r, which is
     where the third fixed border tile interrupts the bottom side.
     """
-    validate_parameters(a, b, c, r, s, t)
+    a, b, c, r, s, t = validate_parameters(a, b, c, r, s, t)
     starts = [LatticePoint(0, c + 2 - t)]
     starts.extend(LatticePoint(i - 1, c + 2 + i) for i in range(1, a + 1))
     starts.append(LatticePoint(a + b + 2 - s, a + c + 2))
@@ -228,8 +228,7 @@ def _matrix_unchecked(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMa
 
 def build_matrix_M(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
     """The (a+2) x (a+2) path-count matrix M with M[i][j] = #paths(P_i -> Q_j)."""
-    validate_parameters(a, b, c, r, s, t)
-    return _matrix_unchecked(a, b, c, r, s, t)
+    return _matrix_unchecked(*validate_parameters(a, b, c, r, s, t))
 
 
 def minor(

@@ -320,7 +320,7 @@ def enumerate_plane_partitions_box(
     from min(above, left) down to 0, so the arrays come in
     lexicographically decreasing order, read row by row.  The fill has no
     depth limit."""
-    validate_sides(a, b, c)
+    a, b, c = validate_sides(a, b, c)
     tracker = _resolve_budget(budget)
     if a == 0 or b == 0:
         if emit is not None:

@@ -23,6 +23,7 @@ from hexcount.cli import (
     run_verify,
 )
 from hexcount.closedform import count_theorem1
+from hexcount.lgv import CountMatrix
 
 
 def run(capsys, *argv):
@@ -106,6 +107,9 @@ def test_count_rejects_unknown_method(capsys):
     )
     assert code == EXIT_USAGE
     assert "magic" in err
+    code, out, err = run(capsys, "count", "1", "1", "1", "1", "1", "1", "--methods", ",")
+    assert code == EXIT_USAGE
+    assert err == "error: no methods given\n"
 
 
 def test_count_budget_exhaustion_is_exit_3(capsys):
@@ -266,6 +270,20 @@ def test_identities_reports_a_failing_case(capsys, monkeypatch):
     assert [line for line in out.splitlines() if "FAIL" in line] == [
         "  FAIL minor-step-identity: (0, 0, 0, 0)", "identities FAILED"]
     assert "minor-step-identity        26 checks, 1 failed" in out
+    # a relabelling fault: M doubled at (0, 0, 0, 0, 1, 2), the shape of the
+    # first-low-end probe at (0, 0, 0, r, 1, 2) and of no other case
+    build = closedform._matrix_unchecked
+    monkeypatch.setattr(closedform, "_matrix_unchecked", lambda *shape: build(*shape)
+                        if shape != (0, 0, 0, 0, 1, 2) else CountMatrix.from_rows(
+                            [[2 * v for v in row] for row in build(*shape).entries]))
+    code, out, err = run(capsys, "identities", "--bound", "0", "--trials", "1")
+    assert code == EXIT_DISAGREE
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "  FAIL minor-step-identity: (0, 0, 0, 0)",
+        "  FAIL minor-relabelling: (0, 0, 0, 1, 1, 2): ['first-low-end']",
+        "  FAIL minor-relabelling: (0, 0, 0, 2, 1, 2): ['first-low-end']",
+        "identities FAILED"]
+    assert "minor-relabelling           8 checks, 2 failed" in out
 
 
 def test_identities_deterministic_given_seed():

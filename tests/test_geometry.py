@@ -125,6 +125,10 @@ def test_notches_are_outside_the_region_but_inside_the_full_hexagon():
         assert cell not in region.cells
         assert cell in full.cells
     assert region.cells < full.cells
+    with pytest.raises(ValueError, match=r"^position r must be in 1\.\.2, got 9$"):
+        notch_cells((0, 0, 0, 9, 1, 1))
+    with pytest.raises(TypeError, match=r"^side a must be an integer, got 0\.5$"):
+        notch_cells((0.5, 0, 0, 1, 1, 1))
 
 
 @given(
@@ -164,6 +168,10 @@ def test_region_rejects_unknown_kind():
     p = HexagonParams(0, 0, 0, 1, 1, 1)
     with pytest.raises(ValueError):
         Region("oval", p, frozenset())
+    # a caller's params are checked, and kept as the cache's HexagonParams
+    with pytest.raises(TypeError, match="position t must be an integer"):
+        Region("notched", (0, 0, 0, 1, 1, 1.0), frozenset())
+    assert type(Region("full", (0, 0, 0, 1, 1, 1), frozenset()).params) is HexagonParams
 
 
 def reference_cells(a, b, c, kind):

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexcount.closedform import count_propp, count_theorem1
+from hexcount.closedform import check_relabelling_identities, count_propp, count_theorem1
 from hexcount.exact import binomial
-from hexcount.geometry import build_region, extend_to_full_hexagon, paths_to_tiling
-from hexcount.lgv import HexagonParams
+from hexcount.geometry import build_full_region, build_region, extend_to_full_hexagon, \
+    paths_to_tiling
+from hexcount.lgv import HexagonParams, PointConfiguration
 from hexcount.oracle import (
+    PathFamily,
     enumerate_constrained_pp,
     enumerate_path_families,
     enumerate_plane_partitions_box,
@@ -153,6 +155,12 @@ def test_minor_errors():
         minor(m, (5,), (0,))
     with pytest.raises(ValueError, match="equally many"):
         minor(m, (0,), ())
+    with pytest.raises(ValueError, match=r"^unknown column labels: \[2, 7\]$"):
+        minor(m, (0,), (7, 2))
+    with pytest.raises(ValueError, match="^need one label per row and one per column$"):
+        CountMatrix(m.entries, (0,), (0, 1))
+    with pytest.raises(ValueError, match="^labels must be distinct$"):
+        CountMatrix(m.entries, (0, 1), (1, 1))
 
 
 def test_minor_delete_everything_gives_empty_determinant_one():
@@ -350,6 +358,11 @@ def test_parameters_must_be_integers():
             call()
     # a bool is an integer, stored as a plain int
     assert [type(v) for v in HexagonParams(True, 1, 1, 1, 1, 1)] == [int] * 6
+    # and every check's plain ints are the values used
+    cfg = build_point_configuration(True, 0, 0, 1, 1, 1)
+    assert all(type(v) is int for v in (cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t))
+    assert all(type(v) is int
+               for v in check_relabelling_identities(True, 0, 0, 1, 1, 1).params)
     # 1.0 == 1 shares a cache key, so a float tuple must not reach the region cache
     with pytest.raises(TypeError, match="position t must be an integer"):
         build_region((1, 1, 1, 1, 1, 1.0))
@@ -357,6 +370,16 @@ def test_parameters_must_be_integers():
     full = extend_to_full_hexagon(paths_to_tiling(next(iter_path_families(ones))))
     assert full.region.params == ones
     assert all(type(v) is int for v in full.region.params)
+    # with the int twin cached, a float or Fraction tuple is still refused
+    family = next(iter_path_families(ones))
+    assert build_region(ones) is paths_to_tiling(family).region
+    for bad in ((1, 1, 1, 1, 1, 1.0), (1, 1, 1, 1, 1, Fraction(1))):
+        hand = PathFamily(PointConfiguration(*bad, family.config.starts,
+                                             family.config.ends), family.paths)
+        for call in (lambda: build_region(bad), lambda: build_full_region(bad),
+                     lambda: paths_to_tiling(hand)):
+            with pytest.raises(TypeError, match="position t must be an integer"):
+                call()
 
 
 @pytest.mark.parametrize("module", ["oracle", "geometry"])
@@ -373,3 +396,22 @@ def test_routes_do_not_import_the_closed_form(module):
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any("closedform" in name for name in imported), imported
+
+
+def test_no_function_calls_its_own_name():
+    # no recursion in the package, so no input depth meets the recursion limit
+    import hexcount
+
+    def calls_itself(function):
+        return any(isinstance(call, ast.Call) and (
+            isinstance(f := call.func, ast.Name) and f.id == function.name
+            or isinstance(f, ast.Attribute) and f.attr == function.name
+            and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"))
+            for call in ast.walk(function))
+
+    found = [f"{path.name}: {node.name}"
+             for path in sorted(Path(hexcount.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and calls_itself(node)]
+    assert found == []

@@ -322,6 +322,9 @@ def test_box_enumeration_small():
     assert enumerate_plane_partitions_box(2, 2, 2) == 20
     assert enumerate_plane_partitions_box(0, 3, 3) == 1
     assert enumerate_plane_partitions_box(3, 0, 3) == 1
+    empty = []
+    assert enumerate_plane_partitions_box(0, 2, 2, emit=empty.append) == 1
+    assert [pp.rows for pp in empty] == [()]
     rows = []
     enumerate_plane_partitions_box(1, 2, 2, emit=lambda p: rows.append(p.rows))
     assert rows == [
