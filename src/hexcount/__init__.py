@@ -38,9 +38,7 @@ from .lgv import (
     CountMatrix,
     HexagonParams,
     LatticePoint,
-    PointConfiguration,
     build_matrix_M,
-    build_point_configuration,
     count_paths,
     det_condensation,
     det_elimination,
@@ -75,7 +73,6 @@ __all__ = [
     "MonotonePath",
     "PathFamily",
     "PlanePartition",
-    "PointConfiguration",
     "Region",
     "Tile",
     "Tiling",
@@ -83,7 +80,6 @@ __all__ = [
     "binomial",
     "build_full_region",
     "build_matrix_M",
-    "build_point_configuration",
     "build_region",
     "check_final_identity",
     "check_krattenthaler_lemma",

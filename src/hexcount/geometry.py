@@ -54,8 +54,7 @@ from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Iterable, NamedTuple, Sequence
 
-from .lgv import HexagonParams, LatticePoint, PointConfiguration, _unchecked, \
-    _validating_make, build_point_configuration
+from .lgv import HexagonParams, LatticePoint, _unchecked, _validating_make
 from .oracle import PathFamily, PlanePartition, _family
 
 UP = "up"
@@ -127,8 +126,8 @@ class Tile(_TileFields):
 @dataclass(frozen=True)
 class Region:
     """A finite set of lattice cells, either the working ('notched')
-    region or the full hexagon.  A caller's params are checked, and kept
-    as the HexagonParams that the region cache is keyed on."""
+    region or the full hexagon.  A caller's params and cells are checked,
+    and kept as the cache's HexagonParams and a frozenset of TriCells."""
 
     kind: str
     params: HexagonParams
@@ -138,6 +137,7 @@ class Region:
         if self.kind not in ("notched", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
         object.__setattr__(self, "params", HexagonParams(*self.params))
+        object.__setattr__(self, "cells", frozenset(TriCell(*c) for c in self.cells))
 
     @cached_property
     def down_cells(self) -> tuple[TriCell, ...]:
@@ -166,9 +166,9 @@ class Region:
                 {h: f"{y1 - h / 2.0:.6f}" for h in range(h_lo, h_hi + 1)})
 
     @cached_property
-    def _config(self) -> PointConfiguration:
-        """The path end points P_i and Q_i of the region's parameters."""
-        return build_point_configuration(*self.params)
+    def _endpoints(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
+        """The (P_i, Q_i) pairs of the region's parameters."""
+        return tuple(zip(self.params.starts, self.params.ends))
 
     @cached_property
     def _tables(self) -> dict[int, tuple[int, int, int]]:
@@ -194,11 +194,11 @@ class Region:
         a down step, so the r notch gets a falling tile."""
         a, b, c, r, s, t = self.params
         work = _build_region_cached(self.params, "notched")
-        first, last = work._config.starts[0], work._config.starts[-1]
-        walks = [[(-1, c + 2 - k) for k in range(t + 1)] + [first],
-                 [(a + k, a + c + 3) for k in range(b + 3 - s)] + [last]]
+        starts = self.params.starts
+        walks = [[(-1, c + 2 - k) for k in range(t + 1)] + [starts[0]],
+                 [(a + k, a + c + 3) for k in range(b + 3 - s)] + [starts[-1]]]
         walks += [(q, (q.x + 1, q.y) if i < r else (q.x, q.y - 1))
-                  for i, q in enumerate(work._config.ends)]
+                  for i, q in enumerate(self.params.ends)]
         spans = tuple((base + lo, base + hi + 1, self._tables[x][2] + lo)
                       for x, (lo, hi, base) in work._tables.items())
         return bytes(_lay_tiles(self, walks)), spans
@@ -319,8 +319,7 @@ def _lay_tiles(region: Region,
 def paths_to_tiling(family: PathFamily) -> Tiling:
     """Tiling of the working region encoded by a nonintersecting family:
     the path-step rule (_lay_tiles) along its paths."""
-    cfg = family.config
-    region = build_region((cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t))
+    region = _build_region_cached(family.config, "notched")
     return Tiling._from_leans(region, _lay_tiles(
         region, (path.vertices for path in family.paths)))
 
@@ -354,8 +353,8 @@ def tiling_to_paths(tiling: Tiling) -> PathFamily:
     family is valid as traced (see _trace_paths), so built unchecked."""
     if tiling.region.kind != "notched":
         raise ValueError("path extraction needs a working-region tiling")
-    cfg = tiling.region._config
-    return _family(cfg, _trace_paths(tiling, zip(cfg.starts, cfg.ends)))
+    region = tiling.region
+    return _family(region.params, _trace_paths(tiling, region._endpoints))
 
 
 def extend_to_full_hexagon(tiling: Tiling) -> Tiling:

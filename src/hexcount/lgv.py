@@ -7,9 +7,10 @@ matrix whose (i, j) entry counts the paths from start i to end j.
 
 The parameter domain is stated here once, for every route:
 ``validate_parameters``, the 6-tuple ``HexagonParams`` validated when it
-is built, and ``all_params`` up to given sides.  Parameters are plain
-ints, checked by ``exact._integer`` (a float raises ``TypeError``).
-This module also builds the start/end configuration and the count matrix.
+is built, with its path endpoints ``starts`` and ``ends``, and
+``all_params`` up to given sides.  Parameters are plain ints, checked by
+``exact._integer`` (a float raises ``TypeError``).  This module also
+builds the count matrix.
 Every matrix argument goes through ``CountMatrix.from_rows``: a
 ``CountMatrix`` as is, raw rows with integer entries and a square shape.
 Two independent exact determinant algorithms follow:
@@ -107,6 +108,21 @@ class HexagonParams(_ParamFields):
     def astuple(self) -> tuple[int, int, int, int, int, int]:
         return tuple(self)
 
+    @property
+    def starts(self) -> tuple[LatticePoint, ...]:
+        """The path starts P_0..P_{a+1}; P_0 and P_{a+1} depend on t and s."""
+        a, b, c, _, s, t = self
+        inner = (_point((i - 1, c + 2 + i)) for i in range(1, a + 1))
+        return _point((0, c + 2 - t)), *inner, _point((a + b + 2 - s, a + c + 2))
+
+    @property
+    def ends(self) -> tuple[LatticePoint, ...]:
+        """The path ends Q_0..Q_{a+1}, path i running from P_i to Q_i; they
+        skip index r, where the third fixed border tile cuts the bottom side."""
+        b, r = self.b, self.r
+        shifted = (j + (1 if j >= r else 0) for j in range(self.a + 2))
+        return tuple(_point((b + k, k)) for k in shifted)
+
 
 def all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
     """Every valid (a, b, c, r, s, t) with sides up to the given bounds,
@@ -117,44 +133,6 @@ def all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(
             [a], [b], [c], range(1, a + 3), range(1, b + 3), range(1, c + 3)
         )
-
-
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Start points P_0..P_{a+1} and end points Q_0..Q_{a+1}."""
-
-    a: int
-    b: int
-    c: int
-    r: int
-    s: int
-    t: int
-    starts: tuple[LatticePoint, ...]
-    ends: tuple[LatticePoint, ...]
-
-    @property
-    def size(self) -> int:
-        return self.a + 2
-
-
-def build_point_configuration(
-    a: int, b: int, c: int, r: int, s: int, t: int
-) -> PointConfiguration:
-    """Start and end points of the path family for one tiling problem.
-
-    Path i runs from P_i to Q_i.  P_0 and P_{a+1} depend on the border
-    positions t and s; the ends Q_j skip one index at j = r, which is
-    where the third fixed border tile interrupts the bottom side.
-    """
-    a, b, c, r, s, t = validate_parameters(a, b, c, r, s, t)
-    starts = [LatticePoint(0, c + 2 - t)]
-    starts.extend(LatticePoint(i - 1, c + 2 + i) for i in range(1, a + 1))
-    starts.append(LatticePoint(a + b + 2 - s, a + c + 2))
-    ends = [
-        LatticePoint(b + j + (1 if j >= r else 0), j + (1 if j >= r else 0))
-        for j in range(a + 2)
-    ]
-    return PointConfiguration(a, b, c, r, s, t, tuple(starts), tuple(ends))
 
 
 def count_paths(start: LatticePoint, end: LatticePoint) -> ExactInt:
@@ -215,8 +193,8 @@ class CountMatrix:
 
 
 def _matrix_unchecked(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
-    # Closed binomial form of count_paths(P_i, Q_j) for this point
-    # configuration; rows 0 and a+1 absorb the t- and s-dependence.
+    # Closed binomial form of count_paths(P_i, Q_j) for these endpoints;
+    # rows 0 and a+1 absorb the t- and s-dependence.
     ends = [j + (1 if j >= r else 0) for j in range(a + 2)]
     rows = [tuple(binomial(b + c + 2 - t, c + 2 - t - jj) for jj in ends)]
     rows.extend(tuple(binomial(b + c + 3, b + jj - i + 1) for jj in ends)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import ExactInt, _integer
-from .lgv import HexagonParams, LatticePoint, PointConfiguration, _point, \
-    _unchecked, build_point_configuration, validate_sides
+from .lgv import HexagonParams, LatticePoint, _point, _unchecked, validate_sides
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "HEXCOUNT_BUDGET"
@@ -79,11 +78,13 @@ class MonotonePath:
     vertices: tuple[LatticePoint, ...]
 
     def __post_init__(self) -> None:
-        if not self.vertices:
+        vertices = tuple(LatticePoint(*point) for point in self.vertices)
+        object.__setattr__(self, "vertices", vertices)
+        if not vertices:
             raise ValueError("a path needs at least one vertex")
-        for value in (value for point in self.vertices for value in point):
+        for value in (value for point in vertices for value in point):
             _integer("a path coordinate", value, -math.inf)
-        for p, q in zip(self.vertices, self.vertices[1:]):
+        for p, q in zip(vertices, vertices[1:]):
             step = (q.x - p.x, q.y - p.y)
             if step not in ((1, 0), (0, -1)):
                 raise ValueError(f"illegal step {step} at {p}")
@@ -101,22 +102,23 @@ class MonotonePath:
 class PathFamily:
     """One family of pairwise vertex-disjoint paths, path i from P_i to Q_i."""
 
-    config: PointConfiguration
+    config: HexagonParams
     paths: tuple[MonotonePath, ...]
 
     def __post_init__(self) -> None:
-        if len(self.paths) != self.config.size:
-            raise ValueError(
-                f"expected {self.config.size} paths, got {len(self.paths)}"
-            )
+        object.__setattr__(self, "config", config := HexagonParams(*self.config))
+        object.__setattr__(self, "paths", paths := tuple(self.paths))
+        starts, ends = config.starts, config.ends
+        if len(paths) != len(starts):
+            raise ValueError(f"expected {len(starts)} paths, got {len(paths)}")
         seen: set[LatticePoint] = set()
-        for i, path in enumerate(self.paths):
-            if path.start != self.config.starts[i]:
+        for i, path in enumerate(paths):
+            if path.start != starts[i]:
                 raise ValueError(f"path {i} starts at {path.start}, "
-                                 f"expected {self.config.starts[i]}")
-            if path.end != self.config.ends[i]:
+                                 f"expected {starts[i]}")
+            if path.end != ends[i]:
                 raise ValueError(f"path {i} ends at {path.end}, "
-                                 f"expected {self.config.ends[i]}")
+                                 f"expected {ends[i]}")
             for v in path.vertices:
                 if v in seen:
                     raise ValueError(f"paths intersect at {v}")
@@ -131,7 +133,7 @@ def family_to_line(family: PathFamily) -> str:
     )
 
 
-def parse_family_line(line: str, config: PointConfiguration) -> PathFamily:
+def parse_family_line(line: str, config: HexagonParams | Sequence[int]) -> PathFamily:
     """Inverse of family_to_line; a malformed vertex raises ``ValueError``."""
     paths = []
     for index, chunk in enumerate(line.strip().split(";")):
@@ -146,7 +148,7 @@ def parse_family_line(line: str, config: PointConfiguration) -> PathFamily:
     return PathFamily(config, tuple(paths))
 
 
-def _family(config: PointConfiguration,
+def _family(config: HexagonParams,
             walks: Iterable[Sequence[tuple[int, int]]]) -> PathFamily:
     """The producers' one way to make a family, unchecked: path i from walks[i]."""
     return _unchecked(PathFamily, config=config, paths=tuple(
@@ -154,7 +156,7 @@ def _family(config: PointConfiguration,
 
 
 def _path_search(
-    p: HexagonParams | Sequence[int] | PointConfiguration,
+    p: HexagonParams | Sequence[int],
     budget: int | Budget | None,
     build: bool,
 ) -> Iterator[PathFamily | None]:
@@ -166,10 +168,10 @@ def _path_search(
     from the walk, path i being walk[first[i]:first[i+1]], only when it
     is emitted, valid as built: each path steps right or down from its
     start to its end, and ``occupied`` keeps the paths disjoint."""
-    config = p if isinstance(p, PointConfiguration) else build_point_configuration(*p)
+    config = HexagonParams(*p)
     tracker = _resolve_budget(budget)
     starts, ends = [tuple(q) for q in config.starts], [tuple(q) for q in config.ends]
-    size, used, limit = config.size, tracker.used, tracker.limit
+    size, used, limit = len(starts), tracker.used, tracker.limit
     walk: list[tuple[int, int]] = []
     occupied: set[tuple[int, int]] = set()
     first = [0] * size  # walk position where each path begins
@@ -209,7 +211,7 @@ def _path_search(
 
 
 def enumerate_path_families(
-    p: HexagonParams | Sequence[int] | PointConfiguration,
+    p: HexagonParams | Sequence[int],
     emit: Callable[[PathFamily], None] | None = None,
     budget: int | Budget | None = None,
 ) -> ExactInt:
@@ -229,7 +231,7 @@ def enumerate_path_families(
 
 
 def iter_path_families(
-    p: HexagonParams | Sequence[int] | PointConfiguration,
+    p: HexagonParams | Sequence[int],
     budget: int | Budget | None = None,
 ) -> Iterator[PathFamily]:
     """The families of enumerate_path_families, in the same order, lazily."""
@@ -244,15 +246,16 @@ class PlanePartition:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len({len(row) for row in self.rows}) > 1:
+        object.__setattr__(self, "rows", rows := tuple(map(tuple, self.rows)))
+        if len({len(row) for row in rows}) > 1:
             raise ValueError("rows must have equal length")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 if _integer(f"entry ({i}, {j})", v, -math.inf) < 0:
                     raise ValueError(f"negative entry at ({i}, {j})")
                 if j + 1 < len(row) and row[j + 1] > v:
                     raise ValueError(f"row {i} increases at column {j + 1}")
-                if i + 1 < len(self.rows) and self.rows[i + 1][j] > v:
+                if i + 1 < len(rows) and rows[i + 1][j] > v:
                     raise ValueError(f"column {j} increases at row {i + 1}")
 
     def to_text(self) -> str:

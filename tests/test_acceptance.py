@@ -27,8 +27,8 @@ from hexcount.geometry import (
     tiling_to_plane_partition,
 )
 from hexcount.lgv import (
+    HexagonParams,
     build_matrix_M,
-    build_point_configuration,
     det_condensation,
     det_elimination,
     minor,
@@ -120,7 +120,7 @@ def worked_example_family():
         return MonotonePath(tuple(LatticePoint(x, y) for x, y in points))
 
     return PathFamily(
-        build_point_configuration(2, 1, 1, 2, 2, 1),
+        HexagonParams(2, 1, 1, 2, 2, 1),
         (
             path((0, 2), (0, 1), (1, 1), (1, 0)),
             path((0, 4), (0, 3), (1, 3), (2, 3), (2, 2), (2, 1)),

@@ -29,7 +29,7 @@ from hexcount.geometry import (
     tiling_to_paths,
     tiling_to_plane_partition,
 )
-from hexcount.lgv import LatticePoint, build_point_configuration
+from hexcount.lgv import LatticePoint
 from hexcount.oracle import (
     MonotonePath,
     PathFamily,
@@ -46,7 +46,7 @@ def worked_example_family():
         return MonotonePath(tuple(LatticePoint(x, y) for x, y in points))
 
     return PathFamily(
-        build_point_configuration(2, 1, 1, 2, 2, 1),
+        HexagonParams(2, 1, 1, 2, 2, 1),
         (
             path((0, 2), (0, 1), (1, 1), (1, 0)),
             path((0, 4), (0, 3), (1, 3), (2, 3), (2, 2), (2, 1)),
@@ -172,6 +172,16 @@ def test_region_rejects_unknown_kind():
     with pytest.raises(TypeError, match="position t must be an integer"):
         Region("notched", (0, 0, 0, 1, 1, 1.0), frozenset())
     assert type(Region("full", (0, 0, 0, 1, 1, 1), frozenset()).params) is HexagonParams
+    # and a caller's cells are checked, and kept as a frozenset of TriCells
+    tiling = paths_to_tiling(next(iter_path_families(p)))
+    cells = tiling.region.cells
+    for given in (list(cells), [tuple(cell) for cell in cells]):
+        region = Region("notched", p, given)
+        assert type(region.cells) is frozenset and region.cells == cells
+        assert all(type(cell) is TriCell for cell in region.cells)
+        assert Tiling(region, tiling.tiles).leans == tiling.leans
+    with pytest.raises(ValueError, match="orientation must be 'up' or 'down'"):
+        Region("notched", p, [(0, 0, "left")])
 
 
 def reference_cells(a, b, c, kind):

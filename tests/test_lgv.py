@@ -13,7 +13,7 @@ from hexcount.closedform import check_relabelling_identities, count_propp, count
 from hexcount.exact import binomial
 from hexcount.geometry import build_full_region, build_region, extend_to_full_hexagon, \
     paths_to_tiling
-from hexcount.lgv import HexagonParams, PointConfiguration
+from hexcount.lgv import HexagonParams
 from hexcount.oracle import (
     PathFamily,
     enumerate_constrained_pp,
@@ -26,7 +26,6 @@ from hexcount.lgv import (
     CountMatrix,
     LatticePoint,
     build_matrix_M,
-    build_point_configuration,
     count_paths,
     det_condensation,
     det_elimination,
@@ -84,13 +83,13 @@ def test_validate_names_the_offending_parameter():
 # ------------------------------------------------------------- configuration
 
 def test_point_configuration_minimal_case():
-    cfg = build_point_configuration(0, 0, 0, 1, 1, 1)
+    cfg = HexagonParams(0, 0, 0, 1, 1, 1)
     assert cfg.starts == (LatticePoint(0, 1), LatticePoint(1, 2))
     assert cfg.ends == (LatticePoint(0, 0), LatticePoint(2, 2))
 
 
 def test_point_configuration_worked_example():
-    cfg = build_point_configuration(2, 1, 1, 2, 2, 1)
+    cfg = HexagonParams(2, 1, 1, 2, 2, 1)
     assert cfg.starts == (
         LatticePoint(0, 2),
         LatticePoint(0, 4),
@@ -123,7 +122,7 @@ def test_matrix_entries_count_paths(a, b, c, data):
     r = data.draw(st.integers(min_value=1, max_value=a + 2))
     s = data.draw(st.integers(min_value=1, max_value=b + 2))
     t = data.draw(st.integers(min_value=1, max_value=c + 2))
-    cfg = build_point_configuration(a, b, c, r, s, t)
+    cfg = HexagonParams(a, b, c, r, s, t)
     m = build_matrix_M(a, b, c, r, s, t)
     for i in range(a + 2):
         for j in range(a + 2):
@@ -359,7 +358,7 @@ def test_parameters_must_be_integers():
     # a bool is an integer, stored as a plain int
     assert [type(v) for v in HexagonParams(True, 1, 1, 1, 1, 1)] == [int] * 6
     # and every check's plain ints are the values used
-    cfg = build_point_configuration(True, 0, 0, 1, 1, 1)
+    cfg = HexagonParams(True, 0, 0, 1, 1, 1)
     assert all(type(v) is int for v in (cfg.a, cfg.b, cfg.c, cfg.r, cfg.s, cfg.t))
     assert all(type(v) is int
                for v in check_relabelling_identities(True, 0, 0, 1, 1, 1).params)
@@ -374,10 +373,8 @@ def test_parameters_must_be_integers():
     family = next(iter_path_families(ones))
     assert build_region(ones) is paths_to_tiling(family).region
     for bad in ((1, 1, 1, 1, 1, 1.0), (1, 1, 1, 1, 1, Fraction(1))):
-        hand = PathFamily(PointConfiguration(*bad, family.config.starts,
-                                             family.config.ends), family.paths)
         for call in (lambda: build_region(bad), lambda: build_full_region(bad),
-                     lambda: paths_to_tiling(hand)):
+                     lambda: PathFamily(bad, family.paths)):
             with pytest.raises(TypeError, match="position t must be an integer"):
                 call()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexcount.closedform import count_macmahon_box, count_theorem1
-from hexcount.lgv import LatticePoint, PointConfiguration, build_point_configuration
+from hexcount.lgv import HexagonParams, LatticePoint
 from hexcount.oracle import (
     Budget,
     BudgetExceededError,
@@ -64,10 +64,18 @@ def test_monotone_path_validation():
         MonotonePath(())
     with pytest.raises(TypeError, match="a path coordinate must be an integer, got 0.0"):
         MonotonePath((LatticePoint(0.0, 1), LatticePoint(1.0, 1)))
+    # vertices are kept as a tuple of LatticePoints: a list twin is equal and hashes
+    listed = MonotonePath([(0, 1), LatticePoint(0, 0)])
+    twin = MonotonePath((LatticePoint(0, 1), LatticePoint(0, 0)))
+    assert listed == twin and hash(listed) == hash(twin)
+    assert type(listed.vertices) is tuple
+    assert all(type(v) is LatticePoint for v in listed.vertices)
+    single = [LatticePoint(0, 0)]
+    assert hash(MonotonePath(single)) == hash(MonotonePath(tuple(single)))
 
 
 def test_path_family_validation():
-    cfg = build_point_configuration(0, 0, 0, 1, 1, 1)
+    cfg = HexagonParams(0, 0, 0, 1, 1, 1)
     PathFamily(
         cfg,
         (
@@ -93,10 +101,17 @@ def test_path_family_validation():
         )
     with pytest.raises(ValueError, match="expected 2 paths"):
         PathFamily(cfg, (MonotonePath((LatticePoint(0, 1), LatticePoint(0, 0))),))
+    # the config is kept as HexagonParams and the paths as a tuple
+    family = next(iter_path_families(cfg))
+    listed = PathFamily(tuple(cfg), list(family.paths))
+    assert listed == family and hash(listed) == hash(family)
+    assert type(listed.config) is HexagonParams and type(listed.paths) is tuple
+    with pytest.raises(TypeError, match=r"^position t must be an integer, got 1\.0$"):
+        PathFamily((0, 0, 0, 1, 1, 1.0), family.paths)
 
 
 def test_path_family_intersection_rejected():
-    cfg = build_point_configuration(1, 1, 1, 1, 1, 1)
+    cfg = HexagonParams(1, 1, 1, 1, 1, 1)
 
     def path(*points):
         return MonotonePath(tuple(LatticePoint(x, y) for x, y in points))
@@ -244,17 +259,8 @@ def test_budget_spent_during_emission_is_kept():
         assert tracker.used == alone.used + 1000 * count
 
 
-def test_search_with_no_family_still_counts_its_nodes():
-    # Q_0 is P_1, so every path 0 blocks path 1: five nodes, no family
-    cfg = PointConfiguration(0, 0, 0, 1, 1, 1, (LatticePoint(0, 1), LatticePoint(1, 0)),
-                             (LatticePoint(1, 0), LatticePoint(2, 0)))
-    tracker = Budget()
-    assert enumerate_path_families(cfg, budget=tracker) == 0
-    assert tracker.used == 5
-
-
 def test_emitted_families_are_public_types():
-    cfg = build_point_configuration(2, 1, 1, 2, 2, 1)
+    cfg = HexagonParams(2, 1, 1, 2, 2, 1)
     families = list(iter_path_families(cfg))
     assert len(families) == 81
     for family in families:
@@ -264,7 +270,7 @@ def test_emitted_families_are_public_types():
 
 
 def test_family_line_round_trip():
-    cfg = build_point_configuration(2, 1, 1, 2, 2, 1)
+    cfg = HexagonParams(2, 1, 1, 2, 2, 1)
     families = []
     enumerate_path_families(cfg, emit=families.append)
     for family in families[:10]:
@@ -273,7 +279,7 @@ def test_family_line_round_trip():
 
 
 def test_family_line_errors_name_the_path_and_the_vertex():
-    cfg = build_point_configuration(2, 1, 1, 2, 2, 1)
+    cfg = HexagonParams(2, 1, 1, 2, 2, 1)
     with pytest.raises(ValueError, match=r"^path 0: malformed vertex ''$"):
         parse_family_line("", cfg)
     with pytest.raises(ValueError, match=r"^path 0: malformed vertex 'x 2'$"):
@@ -311,6 +317,10 @@ def test_plane_partition_validation():
         PlanePartition(((1, 1), (1,)))
     with pytest.raises(TypeError, match="entry \\(0, 1\\) must be an integer, got 1.5"):
         PlanePartition(((2, 1.5), (1, 0)))
+    # rows are kept as a tuple of tuples: a list twin is equal and hashes
+    listed, twin = PlanePartition([[2, 1], [1, 0]]), PlanePartition(((2, 1), (1, 0)))
+    assert listed == twin and hash(listed) == hash(twin)
+    assert listed.rows == ((2, 1), (1, 0)) and type(listed.rows[0]) is tuple
 
 
 def test_plane_partition_text():
