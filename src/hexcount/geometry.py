@@ -21,15 +21,16 @@ tiling and the bijections build theirs unchecked, valid as built.
 
 A Tiling holds one lean code per entry of its region's sorted down
 cells (0 flat, 1 rising, 2 falling) and derives its tiles on demand;
-both constructors check the codes by one set test against region.cells.
-The bijections, extension and renderer work on the codes alone, through
-one per-column table of the down cells, (lowest, highest, base), that
-gives a down cell's index as base + height in O(columns) memory.
+both constructors check the codes by one set test of integer partner
+keys.  The bijections, extension and renderer work on the codes alone,
+through one per-column table of the down cells, (lowest, highest,
+base), that gives a down cell's index as base + height.
 
-A region is built by integer inequalities on each candidate cell's
-(u, v), and keeps its SVG frame: the header and the text of each column
-x and each height h = 2y + x, formatted once, so rendering a tiling
-formats no float.
+A region is built column by column by integer inequalities on each
+candidate cell's (u, v), yielding the sorted down cells, the column
+table and the keys too.  It keeps its SVG frame (the header and the text
+of each column x and height h = 2y + x) and each tile's polygon line
+once formatted, so a tiling's SVG is one lookup per tile.
 
 Two regions matter here.  The working region is a hexagon with side
 lengths a, c+3, b, a+3, c, b+3 (clockwise from the top side) minus one
@@ -52,6 +53,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import pairwise
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .lgv import HexagonParams, LatticePoint, _unchecked, _validating_make
@@ -146,6 +148,20 @@ class Region:
                             if cell.orientation == DOWN))
 
     @cached_property
+    def _keys(self) -> tuple[int, tuple[int, ...], frozenset[int]]:
+        """(k, each down cell's key u*k + v, the up cells' keys); k is 2 more
+        than the span of v over the cells and notches, so no key aliases."""
+        vs = [v for _, v, _ in (*self.cells, *notch_cells(self.params))]
+        k = max(vs) - min(vs) + 2
+        return (k, tuple(u * k + v for u, v, _ in self.down_cells),
+                frozenset(u * k + v for u, v, o in self.cells if o == UP))
+
+    @cached_property
+    def _polygons(self) -> list[str | None]:
+        """render_svg's line for code c on down_cells[i] at 3i + c, once formatted."""
+        return [None] * (3 * len(self.down_cells))
+
+    @cached_property
     def _svg_frame(self) -> tuple[str, dict[int, str], dict[int, str]]:
         """render_svg's header line, and the text of each column x and of
         each height h = 2y + x in its view box.  A cell's vertices have x
@@ -194,11 +210,11 @@ class Region:
         a down step, so the r notch gets a falling tile."""
         a, b, c, r, s, t = self.params
         work = _build_region_cached(self.params, "notched")
-        starts = self.params.starts
-        walks = [[(-1, c + 2 - k) for k in range(t + 1)] + [starts[0]],
-                 [(a + k, a + c + 3) for k in range(b + 3 - s)] + [starts[-1]]]
+        pairs = work._endpoints
+        walks = [[(-1, c + 2 - k) for k in range(t + 1)] + [pairs[0][0]],
+                 [(a + k, a + c + 3) for k in range(b + 3 - s)] + [pairs[-1][0]]]
         walks += [(q, (q.x + 1, q.y) if i < r else (q.x, q.y - 1))
-                  for i, q in enumerate(self.params.ends)]
+                  for i, (_, q) in enumerate(pairs)]
         spans = tuple((base + lo, base + hi + 1, self._tables[x][2] + lo)
                       for x, (lo, hi, base) in work._tables.items())
         return bytes(_lay_tiles(self, walks)), spans
@@ -229,20 +245,29 @@ def _build_region_cached(p: HexagonParams, kind: str) -> Region:
     # bounds, and x+y in u+v+d..u+v+d+1, d = 0 up and 1 down, which bound
     # v.  Callers check p first: 1.0 == 1, so an unchecked tuple could hit
     # its int twin.  Cells and region are built unchecked: orientation and
-    # kind are literal.
+    # kind are literal.  The walk meets the down cells sorted, and fills
+    # down_cells, _tables and _keys; v spans y_lo..-1 before the notches.
     a, b, c = p.a, p.b, p.c
     step = 1 if kind == "full" else 0
     x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
-    cells = {
-        tuple.__new__(TriCell, (u, v, orientation))
-        for u in range(x_lo, a + b + 2)
-        for orientation, d in ((UP, 0), (DOWN, 1))
-        for v in range(max(y_lo, -c - 4 - u - d), min(0, sum_hi - u - d))
-    }
-    if kind == "notched":
-        for cell in notch_cells(p):
-            cells.remove(cell)
-    return _unchecked(Region, kind=kind, params=p, cells=frozenset(cells))
+    ups, downs = ([(u, max(y_lo, -c - 4 - u - d), min(0, sum_hi - u - d))
+                   for u in range(x_lo, a + b + 2)] for d in (0, 1))
+    down_cells = tuple([tuple.__new__(TriCell, (u, v, DOWN))
+                        for u, lo, hi in downs for v in range(lo, hi)])
+    cells = {*down_cells, *[tuple.__new__(TriCell, (u, v, UP))
+                            for u, lo, hi in ups for v in range(lo, hi)]}
+    for cell in (notches := notch_cells(p) if kind == "notched" else ()):
+        cells.remove(cell)
+    k, tables, i = 1 - y_lo, {}, 0
+    for u, lo, hi in downs:  # D(u, lo) at height y = u + lo + c + 5, index i
+        if lo < hi:
+            y = u + lo + c + 5
+            tables[u + 1], i = (y, y + hi - lo - 1, i - y), i + hi - lo
+    keys = [u * k + v for u, lo, hi in downs + ups for v in range(lo, hi)]
+    up_keys = frozenset(keys[i:]).difference(u * k + v for u, v, _ in notches)
+    return _unchecked(Region, kind=kind, params=p, cells=frozenset(cells),
+                      down_cells=down_cells, _tables=tables,
+                      _keys=(k, tuple(keys[:i]), up_keys))
 
 
 def build_region(p: HexagonParams | Sequence[int]) -> Region:
@@ -258,14 +283,13 @@ def build_full_region(p: HexagonParams | Sequence[int]) -> Region:
 def _partitions(region: Region, leans: bytes | bytearray) -> bool:
     """Whether the codes, one 0, 1 or 2 per down cell, pair the down cells
     one to one with the region's up cells: as many up cells as down
-    cells, and distinct partner up cells, all in region.cells."""
-    downs = region.down_cells
+    cells, and distinct partner up cells, all in region.cells (by key)."""
+    k, downs, ups = region._keys
     if (len(leans) != len(downs) or max(leans, default=0) > 2
             or len(region.cells) != 2 * len(downs)):
         return False
-    ups = {(u + _OFFSETS[k][0], v + _OFFSETS[k][1], UP)
-           for (u, v, _), k in zip(downs, leans)}
-    return len(ups) == len(downs) and ups <= region.cells
+    partners = set(map(add, downs, map((k, 0, 1).__getitem__, leans)))
+    return len(partners) == len(downs) and partners <= ups
 
 
 @dataclass(frozen=True, init=False)
@@ -398,14 +422,17 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 
 # The four corners of a tile as offsets from its down cell D(u, v), by
 # lean: the down cell's apex, the shared vertex that sorts first, the up
-# cell's apex, the other shared vertex.
+# cell's apex, the other shared vertex.  _SHAPES has them, by lean code,
+# as (x, h) offsets from (u, 2v + u), with the fill.
 _QUAD_CORNERS = {
     FLAT: ((0, 1), (1, 0), (2, 0), (1, 1)),
     RISING: ((1, 1), (0, 1), (0, 0), (1, 0)),
     FALLING: ((1, 0), (0, 1), (0, 2), (1, 1)),
 }
 _FILL = {FLAT: "#9e9e9e", RISING: "#cfcfcf", FALLING: "#ffffff"}
-_SHAPES = tuple((_QUAD_CORNERS[lean], _FILL[lean]) for lean in _LEANS)
+_SHAPES = tuple((tuple((dx, 2 * dy + dx) for dx, dy in _QUAD_CORNERS[lean]),
+                 _FILL[lean]) for lean in _LEANS)
+_STYLE = 'stroke="#333333" stroke-width="0.03" stroke-linejoin="round"/>'
 
 
 def render_svg(target: Tiling | Region) -> str:
@@ -415,26 +442,28 @@ def render_svg(target: Tiling | Region) -> str:
     Unit edge length, vertices on the (sqrt(3)/2, 1/2) grid, fixed
     6-decimal coordinates, polygons in sorted order.  The frame (view
     box, and the text of each column and height) is computed once per
-    region and kept on it; each call then does per-tile work only, and
-    formats no float.
+    region and kept on it, and so is each tile's polygon line once a
+    render first draws it (Region._polygons); a bare region's are not.
     """
-    if isinstance(target, Tiling):
-        region = target.region
-        shapes = [(u, v, *_SHAPES[code]) for (u, v, _), code
-                  in zip(region.down_cells, target.leans)]
+    region = target.region if isinstance(target, Tiling) else target
+    header, xt, ht = region._svg_frame
+    if region is target:  # a bare region: one polygon per cell, formatted per call
+        lines = []
+        for u, v, o in sorted(region.cells):
+            pts = " ".join([f"{xt[u + dx]},{ht[2 * (v + dy) + u + dx]}"
+                            for dx, dy in _CELL_CORNERS[o]])
+            lines.append(f'<polygon points="{pts}" fill="{_FILL[FALLING]}" {_STYLE}')
     else:
-        region = target
-        shapes = [(u, v, _CELL_CORNERS[o], _FILL[FALLING])
-                  for u, v, o in sorted(region.cells)]
-    header, xtext, htext = region._svg_frame
-    lines = [header]
-    for u, v, corners, fill in shapes:
-        pts = [f"{xtext[u + dx]},{htext[2 * (v + dy) + u + dx]}"
-               for dx, dy in corners]
-        lines.append(
-            f'<polygon points="{" ".join(pts)}" fill="{fill}" '
-            f'stroke="#333333" stroke-width="0.03" '
-            f'stroke-linejoin="round"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        slots = region._polygons
+        used = list(map(add, range(0, len(slots), 3), target.leans))
+        if None in map(slots.__getitem__, used):
+            for (u, v, _), code, slot in zip(region.down_cells, target.leans, used):
+                if slots[slot] is None:
+                    ((x0, h0), (x1, h1), (x2, h2), (x3, h3)), fill = _SHAPES[code]
+                    h = 2 * v + u
+                    slots[slot] = (f'<polygon points="{xt[u + x0]},{ht[h + h0]} '
+                                   f'{xt[u + x1]},{ht[h + h1]} '
+                                   f'{xt[u + x2]},{ht[h + h2]} '
+                                   f'{xt[u + x3]},{ht[h + h3]}" fill="{fill}" {_STYLE}')
+        lines = map(slots.__getitem__, used)
+    return "\n".join([header, *lines, "</svg>"]) + "\n"

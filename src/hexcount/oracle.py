@@ -78,8 +78,14 @@ class MonotonePath:
     vertices: tuple[LatticePoint, ...]
 
     def __post_init__(self) -> None:
-        vertices = tuple(LatticePoint(*point) for point in self.vertices)
-        object.__setattr__(self, "vertices", vertices)
+        vertices = []
+        for i, point in enumerate(self.vertices):
+            try:
+                vertices.append(LatticePoint(*point))
+            except TypeError:
+                raise TypeError(f"path vertex {i} must be an (x, y) pair, "
+                                f"got {point!r}") from None
+        object.__setattr__(self, "vertices", vertices := tuple(vertices))
         if not vertices:
             raise ValueError("a path needs at least one vertex")
         for value in (value for point in vertices for value in point):
@@ -107,7 +113,8 @@ class PathFamily:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "config", config := HexagonParams(*self.config))
-        object.__setattr__(self, "paths", paths := tuple(self.paths))
+        object.__setattr__(self, "paths", paths := tuple(
+            p if isinstance(p, MonotonePath) else MonotonePath(p) for p in self.paths))
         starts, ends = config.starts, config.ends
         if len(paths) != len(starts):
             raise ValueError(f"expected {len(starts)} paths, got {len(paths)}")

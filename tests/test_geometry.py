@@ -309,6 +309,69 @@ def test_internal_constructor_checks_the_partition():
             Tiling._from_leans(region, bad)
 
 
+def reference_partitions(region, leans):
+    """The rule the partner keys replaced: build each down cell's partner
+    up cell as a (u, v, 'up') tuple and test the set against region.cells."""
+    downs = region.down_cells
+    if (len(leans) != len(downs) or max(leans, default=0) > 2
+            or len(region.cells) != 2 * len(downs)):
+        return False
+    offsets = ((1, 0), (0, 0), (0, 1))
+    ups = {(u + offsets[k][0], v + offsets[k][1], "up")
+           for (u, v, _), k in zip(downs, leans)}
+    return len(ups) == len(downs) and ups <= region.cells
+
+
+def test_partner_keys_give_the_cell_rule_verdict():
+    # every working and full tiling with sides <= 1, each single-code
+    # flip of it, and its codes cut by one, extended by one and ending in
+    # code 3: the key check and the cell rule agree.  So they do on
+    # caller-built regions with one far-off up cell more and, for the
+    # first tiling of each tuple, with one in place of each of its own up
+    # cells U(u, v): far off, or U(u - 1, v + k), which has the key u*k + v
+    # under the built region's k, the width of its rows.  The caller's
+    # region takes its k from its own cells, so the swap is seen
+    far = (TriCell(-5, 0, "up"), TriCell(0, -10**6, "up"))
+    verdicts = 0
+    for p in all_params(1, 1, 1):
+        wider = {}
+        for i, family in enumerate(iter_path_families(p)):
+            tiling = paths_to_tiling(family)
+            for t in (tiling, extend_to_full_hexagon(tiling)):
+                region, leans = t.region, t.leans
+                variants = [leans, leans[:-1], leans + b"\0", leans[:-1] + b"\3"]
+                variants += [leans[:j] + bytes([other]) + leans[j + 1:]
+                             for j, code in enumerate(leans)
+                             for other in {0, 1, 2} - {code}]
+                checks = [(region, codes) for codes in variants]
+                if region.kind not in wider:
+                    wider[region.kind] = [Region(region.kind, p, region.cells | {cell})
+                                          for cell in far]
+                checks += [(r, codes) for r in wider[region.kind] for codes in variants[:4]]
+                if i == 0:
+                    k = region._keys[0]
+                    checks += [(Region(region.kind, p, region.cells - {up} | {cell}), leans)
+                               for up in region.cells if up.orientation == "up"
+                               for cell in (*far, TriCell(up.u - 1, up.v + k, "up"))]
+                for r, codes in checks:
+                    verdict = geometry._partitions(r, codes)
+                    assert verdict == reference_partitions(r, codes), (p, codes)
+                    verdicts += verdict
+    assert verdicts == 1860  # each tiling on its own region, and nothing else
+
+
+def test_builder_tables_equal_the_properties_of_a_caller_built_region():
+    # the builder fills down_cells, _tables and _keys from its column
+    # walk; a caller-built region with the same cells derives them from
+    # the cells alone, and gets the same values
+    for p in all_params(2, 2, 2):
+        for region in (build_region(p), build_full_region(p)):
+            twin = Region(region.kind, p, region.cells)
+            for name in ("down_cells", "_tables", "_keys"):
+                assert name in vars(region) and name not in vars(twin)
+                assert getattr(region, name) == getattr(twin, name), (p, name)
+
+
 def test_column_tables_index_every_down_cell_once():
     # a path at vertex (x, y) crosses the down cell D(x-1, y-x-c-4); the
     # table of each region gives that cell's index in down_cells
@@ -591,6 +654,25 @@ def test_extension_bytes_are_pinned_on_every_sides_2_tuple():
     assert tuples == 729
     assert digest.hexdigest() == (
         "c2a432974c111b94c5f86349ea3b6bf12417693d4ee6eb48e919656993a434a6")
+
+
+def test_render_order_does_not_change_the_bytes():
+    # a region keeps each tile's polygon line once formatted; every tuple
+    # with sides <= 1 renders its full tilings in enumeration order, the
+    # bare full region, then the tilings in reverse, on one cached full
+    # region, and each tiling's bytes equal a render on a fresh region
+    for p in all_params(1, 1, 1):
+        geometry._build_region_cached.cache_clear()
+        fulls = [extend_to_full_hexagon(paths_to_tiling(family))
+                 for family in iter_path_families(p)]
+        cold = [render_svg(Tiling(Region("full", p, t.region.cells), t.tiles))
+                for t in fulls]
+        assert len({id(t.region) for t in fulls}) == 1
+        forward = [render_svg(t) for t in fulls]
+        bare = render_svg(fulls[0].region)
+        backward = [render_svg(t) for t in reversed(fulls)]
+        assert forward == cold and backward == cold[::-1]
+        assert bare == render_svg(Region("full", p, fulls[0].region.cells))
 
 
 def test_quad_corner_table_matches_the_cell_vertices():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexcount.closedform import count_macmahon_box, count_theorem1
-from hexcount.lgv import HexagonParams, LatticePoint
+from hexcount.lgv import HexagonParams, LatticePoint, all_params
 from hexcount.oracle import (
     Budget,
     BudgetExceededError,
@@ -72,6 +72,11 @@ def test_monotone_path_validation():
     assert all(type(v) is LatticePoint for v in listed.vertices)
     single = [LatticePoint(0, 0)]
     assert hash(MonotonePath(single)) == hash(MonotonePath(tuple(single)))
+    # a vertex that is not an (x, y) pair is named by its index and value
+    with pytest.raises(TypeError, match=r"^path vertex 0 must be an \(x, y\) pair, got \(0, 1, 5\)$"):
+        MonotonePath([(0, 1, 5)])
+    with pytest.raises(TypeError, match=r"^path vertex 1 must be an \(x, y\) pair, got 7$"):
+        MonotonePath([(0, 1), 7])
 
 
 def test_path_family_validation():
@@ -108,6 +113,13 @@ def test_path_family_validation():
     assert type(listed.config) is HexagonParams and type(listed.paths) is tuple
     with pytest.raises(TypeError, match=r"^position t must be an integer, got 1\.0$"):
         PathFamily((0, 0, 0, 1, 1, 1.0), family.paths)
+    # paths given as vertex sequences are checked into MonotonePaths
+    for p in all_params(1, 1, 1):
+        for family in iter_path_families(p):
+            twin = PathFamily(family.config, [path.vertices for path in family.paths])
+            assert twin == family and hash(twin) == hash(family)
+    with pytest.raises(ValueError, match="illegal step"):
+        PathFamily(cfg, [[(0, 1), (1, 0)], [(1, 2), (2, 2)]])
 
 
 def test_path_family_intersection_rejected():
