@@ -28,9 +28,14 @@ base), that gives a down cell's index as base + height.
 
 A region is built column by column by integer inequalities on each
 candidate cell's (u, v), yielding the sorted down cells, the column
-table and the keys too.  It keeps its SVG frame (the header and the text
-of each column x and height h = 2y + x) and each tile's polygon line
-once formatted, so a tiling's SVG is one lookup per tile.
+table and the keys too.  These depend on the sides (a, b, c) alone, so
+a small cache keeps them per shape; a working region removes its three
+notches, up cells all, from the shape's cells and up keys.  A region
+keeps its SVG frame (the header and the text of each column x and
+height h = 2y + x) and each tile's polygon line once formatted, so a
+tiling's SVG is one lookup per tile.  The full hexagon's frame and
+lines are its shape's, shared by every (r, s, t); a notch may move a
+working region's frame, so each working region keeps its own.
 
 Two regions matter here.  The working region is a hexagon with side
 lengths a, c+3, b, a+3, c, b+3 (clockwise from the top side) minus one
@@ -235,39 +240,51 @@ def notch_cells(p: HexagonParams | Sequence[int]) -> tuple[TriCell, TriCell, Tri
     )
 
 
-@lru_cache(maxsize=4)  # a tuple's traffic is its working and full regions
-def _build_region_cached(p: HexagonParams, kind: str) -> Region:
-    # The cells whose vertices satisfy -1 <= x <= a+b+2, -b-c-3 <= y <= 0
-    # and -c-4 <= x+y <= a-1, minus the notches.  The full hexagon reaches
-    # one lattice step further on the lower bounds of x and y and on the
-    # upper bound of x+y, and keeps the notches.  A cell's vertices have x
-    # in u..u+1 and y in v..v+1, which the ranges of u and v keep in
-    # bounds, and x+y in u+v+d..u+v+d+1, d = 0 up and 1 down, which bound
-    # v.  Callers check p first: 1.0 == 1, so an unchecked tuple could hit
-    # its int twin.  Cells and region are built unchecked: orientation and
-    # kind are literal.  The walk meets the down cells sorted, and fills
-    # down_cells, _tables and _keys; v spans y_lo..-1 before the notches.
-    a, b, c = p.a, p.b, p.c
+@lru_cache(maxsize=16)  # eight shapes of each kind; holds no tuple's region
+def _shape(a: int, b: int, c: int, kind: str) -> dict[str, object]:
+    # The fields of the (a, b, c) region of this kind before any notch is
+    # cut: the cells whose vertices satisfy -1 <= x <= a+b+2, -b-c-3 <= y
+    # <= 0 and -c-4 <= x+y <= a-1.  The full hexagon reaches one lattice
+    # step further on the lower bounds of x and y and on the upper bound
+    # of x+y.  A cell's vertices have x in u..u+1 and y in v..v+1, which
+    # the ranges of u and v keep in bounds, and x+y in u+v+d..u+v+d+1, d =
+    # 0 up and 1 down, which bound v.  Cells and region are built
+    # unchecked: orientation and kind are literal.  The walk meets the
+    # down cells sorted, and fills down_cells, _tables and _keys; v spans
+    # y_lo..-1 before the notches.  The full hexagon keeps its notches, so
+    # its frame and polygon lines are the shape's too.
     step = 1 if kind == "full" else 0
     x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
     ups, downs = ([(u, max(y_lo, -c - 4 - u - d), min(0, sum_hi - u - d))
                    for u in range(x_lo, a + b + 2)] for d in (0, 1))
     down_cells = tuple([tuple.__new__(TriCell, (u, v, DOWN))
                         for u, lo, hi in downs for v in range(lo, hi)])
-    cells = {*down_cells, *[tuple.__new__(TriCell, (u, v, UP))
-                            for u, lo, hi in ups for v in range(lo, hi)]}
-    for cell in (notches := notch_cells(p) if kind == "notched" else ()):
-        cells.remove(cell)
+    cells = frozenset([*down_cells, *[tuple.__new__(TriCell, (u, v, UP))
+                                      for u, lo, hi in ups for v in range(lo, hi)]])
     k, tables, i = 1 - y_lo, {}, 0
     for u, lo, hi in downs:  # D(u, lo) at height y = u + lo + c + 5, index i
         if lo < hi:
             y = u + lo + c + 5
             tables[u + 1], i = (y, y + hi - lo - 1, i - y), i + hi - lo
     keys = [u * k + v for u, lo, hi in downs + ups for v in range(lo, hi)]
-    up_keys = frozenset(keys[i:]).difference(u * k + v for u, v, _ in notches)
-    return _unchecked(Region, kind=kind, params=p, cells=frozenset(cells),
-                      down_cells=down_cells, _tables=tables,
-                      _keys=(k, tuple(keys[:i]), up_keys))
+    region = _unchecked(Region, kind=kind, cells=cells, down_cells=down_cells,
+                        _tables=tables, _keys=(k, tuple(keys[:i]), frozenset(keys[i:])))
+    if kind == "full":  # filled here, so that the shape's tuples share them
+        region._svg_frame, region._polygons
+    return vars(region)
+
+
+@lru_cache(maxsize=4)  # a tuple's traffic is its working and full regions
+def _build_region_cached(p: HexagonParams, kind: str) -> Region:
+    # The shape's fields, and for the working region its cells and up keys
+    # minus the notches.  Callers check p first: 1.0 == 1, so an unchecked
+    # tuple could hit its int twin.
+    fields = {**_shape(p.a, p.b, p.c, kind), "params": p}
+    if kind == "notched":
+        notches, (k, downs, ups) = notch_cells(p), fields["_keys"]
+        fields["cells"] = fields["cells"].difference(notches)
+        fields["_keys"] = (k, downs, ups.difference(u * k + v for u, v, _ in notches))
+    return _unchecked(Region, **fields)
 
 
 def build_region(p: HexagonParams | Sequence[int]) -> Region:
@@ -442,8 +459,9 @@ def render_svg(target: Tiling | Region) -> str:
     Unit edge length, vertices on the (sqrt(3)/2, 1/2) grid, fixed
     6-decimal coordinates, polygons in sorted order.  The frame (view
     box, and the text of each column and height) is computed once per
-    region and kept on it, and so is each tile's polygon line once a
-    render first draws it (Region._polygons); a bare region's are not.
+    region (per shape for the full hexagon) and kept on it, and so is
+    each tile's polygon line once a render first draws it
+    (Region._polygons); a bare region's are not.
     """
     region = target.region if isinstance(target, Tiling) else target
     header, xt, ht = region._svg_frame

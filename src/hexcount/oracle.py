@@ -85,11 +85,11 @@ class MonotonePath:
             except TypeError:
                 raise TypeError(f"path vertex {i} must be an (x, y) pair, "
                                 f"got {point!r}") from None
-        object.__setattr__(self, "vertices", vertices := tuple(vertices))
         if not vertices:
             raise ValueError("a path needs at least one vertex")
-        for value in (value for point in vertices for value in point):
-            _integer("a path coordinate", value, -math.inf)
+        object.__setattr__(self, "vertices", vertices := tuple(
+            _point(_integer("a path coordinate", value, -math.inf) for value in point)
+            for point in vertices))
         for p, q in zip(vertices, vertices[1:]):
             step = (q.x - p.x, q.y - p.y)
             if step not in ((1, 0), (0, -1)):

@@ -10,7 +10,8 @@ bench_summary = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_summary)
 
 
-def write_runs(root: Path, totals: dict[int, float], written: float) -> None:
+def write_runs(root: Path, totals: dict[int, float], written: float,
+               rounds: dict[int, int] | None = None) -> None:
     runs = root / "bench" / "runs"
     runs.mkdir(parents=True)
     for seed, total in totals.items():
@@ -18,7 +19,7 @@ def write_runs(root: Path, totals: dict[int, float], written: float) -> None:
             "result": {"correct": True, "attempted": 10, "failed": 0,
                        "metrics": {"total_ref": {"value": total, "unit": "ref"},
                                    "peak_rss_mb": {"value": 20.0, "unit": "MB"}}},
-            "rounds": [{}, {}, {}], "traced_rounds": [],
+            "rounds": [{}] * (rounds or {}).get(seed, 3), "traced_rounds": [],
             "host": {"cpus": 2, "python": "3.11.7"},
         }
         path = runs / f"tilings-seed{seed}.json"
@@ -48,3 +49,19 @@ def test_summary_pairs_runs_by_seed(tmp_path):
     assert (rss["pairs_won"], rss["pairs_lost"]) == (0, 0)
     assert rss["median_change"] == 0.0
     assert summary["change"]["commit"] is None or len(summary["change"]["commit"]) == 40
+
+
+def test_summary_gives_the_median_rounds_per_run(tmp_path, capsys):
+    # faster code runs more rounds, and a run's peak RSS grows with them
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_runs(parent, {1: 100.0, 2: 110.0, 3: 90.0}, 1000.0, {1: 3, 2: 4, 3: 6})
+    write_runs(change, {1: 60.0, 2: 70.0, 3: 95.0}, 2000.0, {1: 5, 2: 7, 3: 6})
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main([str(parent), str(change), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["workloads"]["tilings"]["untraced"]
+    assert [run["rounds"] for run in doc["runs"]["change"]] == [5, 7, 6]
+    assert doc["median_rounds"] == {"parent": 4, "change": 6}
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "rounds per run" in line)
+    assert line.split()[-3:] == ["4", "->", "6"]

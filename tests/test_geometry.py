@@ -372,6 +372,31 @@ def test_builder_tables_equal_the_properties_of_a_caller_built_region():
                 assert getattr(region, name) == getattr(twin, name), (p, name)
 
 
+def test_shape_values_equal_the_properties_of_a_caller_built_region():
+    # the builder takes down_cells, _tables and _keys, and the full
+    # hexagon's frame, from the values shared by the tuples of one (a, b,
+    # c); a caller-built region with the same cells derives each from its
+    # own cells and params, and gets the same values
+    for p in all_params(2, 2, 2):
+        for region in (build_region(p), build_full_region(p)):
+            twin = Region(region.kind, p, region.cells)
+            names = ["down_cells", "_tables", "_keys"]
+            names += ["_svg_frame"] * (region.kind == "full")
+            for name in names:
+                assert name in vars(region) and name not in vars(twin)
+                assert getattr(region, name) == getattr(twin, name), (p, region.kind, name)
+
+
+def test_shape_cache_is_bounded_and_keeps_no_region_alive():
+    assert geometry._shape.cache_info().maxsize is not None
+    refs = [weakref.ref(build(p)) for p in all_params(1, 1, 1) if p[:3] == (1, 1, 1)
+            for build in (build_region, build_full_region)]
+    geometry._build_region_cached.cache_clear()
+    gc.collect()
+    assert geometry._shape.cache_info().currsize > 0
+    assert [ref() for ref in refs] == [None] * 54
+
+
 def test_column_tables_index_every_down_cell_once():
     # a path at vertex (x, y) crosses the down cell D(x-1, y-x-c-4); the
     # table of each region gives that cell's index in down_cells
@@ -673,6 +698,26 @@ def test_render_order_does_not_change_the_bytes():
         backward = [render_svg(t) for t in reversed(fulls)]
         assert forward == cold and backward == cold[::-1]
         assert bare == render_svg(Region("full", p, fulls[0].region.cells))
+
+
+def test_tuple_order_does_not_change_the_bytes():
+    # the tuples of one shape share its full hexagon's polygon lines; from
+    # cold caches, each shape with sides <= 1 renders the full tilings of
+    # its tuples in enumeration order, then in reverse tuple order, and
+    # each tiling's bytes equal a cold render on a caller-built twin
+    for a, b, c in itertools.product(range(2), repeat=3):
+        geometry._build_region_cached.cache_clear()
+        geometry._shape.cache_clear()
+        tuples = [p for p in all_params(a, b, c) if p[:3] == (a, b, c)]
+        fulls = {p: [extend_to_full_hexagon(paths_to_tiling(family))
+                     for family in iter_path_families(p)] for p in tuples}
+        polygons = fulls[tuples[0]][0].region._polygons
+        assert all(t.region._polygons is polygons for ts in fulls.values() for t in ts)
+        cold = {p: [render_svg(Tiling(Region("full", p, t.region.cells), t.tiles))
+                    for t in ts] for p, ts in fulls.items()}
+        for order in (tuples, tuples[::-1]):
+            for p in order:
+                assert [render_svg(t) for t in fulls[p]] == cold[p], p
 
 
 def test_quad_corner_table_matches_the_cell_vertices():

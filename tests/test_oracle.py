@@ -77,6 +77,13 @@ def test_monotone_path_validation():
         MonotonePath([(0, 1, 5)])
     with pytest.raises(TypeError, match=r"^path vertex 1 must be an \(x, y\) pair, got 7$"):
         MonotonePath([(0, 1), 7])
+    # coordinates are kept as the plain ints they index to, so a bool
+    # vertex writes as ints and the line parses back to an equal family
+    family = PathFamily(HexagonParams(0, 0, 0, 1, 1, 1),
+                        [[(False, True), (0, 0)], [(1, 2), (2, 2)]])
+    assert type(family.paths[0].start.y) is int
+    assert family_to_line(family) == "0 1,0 0;1 2,2 2"
+    assert parse_family_line(family_to_line(family), family.config) == family
 
 
 def test_path_family_validation():

@@ -6,12 +6,14 @@ PARENT and CHANGE are the roots of two checkouts on which
 ``bench/run.py`` has been run with the same workloads, seeds and
 ``--seconds``; each keeps its records in ``bench/runs/``.  Runs of the
 two checkouts are paired by workload, seed and tracing.  For every
-workload and metric the summary gives each side's values by seed, their
-median and quartiles, and the pairs the change won (ties count for
-neither side).  For the end-to-end metrics it also gives the median's
-relative change against the bound in ``BENCHMARK.json``.  The commit ids
-of both checkouts and the facts of the machine are recorded beside them.
-Only the standard library is used.
+workload the summary gives each side's median rounds per run (faster
+code runs more rounds in its ``--seconds``, and a run's peak RSS grows
+with its rounds), and for every metric each side's values by seed,
+their median and quartiles, and the pairs the change won (ties count
+for neither side).  For the end-to-end metrics it also gives the
+median's relative change against the bound in ``BENCHMARK.json``.  The
+commit ids of both checkouts and the facts of the machine are recorded
+beside them.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ def summarise(parent_root: Path, change_root: Path) -> dict:
                              "traced_rounds": len(runs[s]["traced_rounds"])}
                             for s in seeds]
                      for side, runs in (("parent", parent), ("change", change))},
+            "median_rounds": {side: statistics.median(len(runs[s]["rounds"]) for s in seeds)
+                              for side, runs in (("parent", parent), ("change", change))},
             "metrics": {n: compare(n, metrics[n]["unit"], metrics[n]["better"],
                                    metrics[n].get("bound"), seeds, parent, change)
                         for n in names},
@@ -147,6 +151,9 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     for workload, kinds in summary["workloads"].items():
         for kind, doc in kinds.items():
+            rounds = doc["median_rounds"]
+            print(f"{workload:<13} {kind:<9} {'rounds per run (median)':<34} "
+                  f"{rounds['parent']:>12.4g} -> {rounds['change']:<12.4g}")
             for name, m in doc["metrics"].items():
                 print(f"{workload:<13} {kind:<9} {name:<34} "
                       f"{m['parent']['median']:>12.4g} -> {m['change']['median']:<12.4g} "
