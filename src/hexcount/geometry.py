@@ -15,9 +15,10 @@ right, and one leaning down to the right.
 
 Cells and tiles are tuples, (u, v, orientation) and (down, up), so they
 sort and hash as tuples do.  A caller's are validated when constructed
-and by ``_replace`` (a cell's orientation is 'up' or 'down', a tile's
-cells an adjacent down/up pair); the region builder, the tiles of a
-tiling and the bijections build theirs unchecked, valid as built.
+and by ``_replace`` (a cell's u and v are kept as plain ints and its
+orientation is 'up' or 'down', a tile's cells an adjacent down/up
+pair); the region builder, the tiles of a tiling and the bijections
+build theirs unchecked, valid as built.
 
 A Tiling holds one lean code per entry of its region's sorted down
 cells (0 flat, 1 rising, 2 falling) and derives its tiles on demand;
@@ -26,14 +27,14 @@ keys.  The bijections, extension and renderer work on the codes alone,
 through one per-column table of the down cells, (lowest, highest,
 base), that gives a down cell's index as base + height.
 
-A region is built column by column by integer inequalities on each
-candidate cell's (u, v), yielding the sorted down cells, the column
-table and the keys too.  These depend on the sides (a, b, c) alone, so
-a small cache keeps them per shape; a working region removes its three
-notches, up cells all, from the shape's cells and up keys.  A region
-keeps its SVG frame (the header and the text of each column x and
-height h = 2y + x) and each tile's polygon line once formatted, so a
-tiling's SVG is one lookup per tile.  The full hexagon's frame and
+A region's cells are built column by column by integer inequalities on
+each candidate cell's (u, v); its sorted down cells, column table and
+keys are its own cached properties.  All depend on the sides (a, b, c)
+alone, so a small cache keeps them per shape; a working region removes
+its three notches, up cells all, from the shape's cells and up keys.
+A region keeps its SVG frame (the header and the text of each column x
+and height h = 2y + x) and each tile's polygon line once formatted, so
+a tiling's SVG is one lookup per tile.  The full hexagon's frame and
 lines are its shape's, shared by every (r, s, t); a notch may move a
 working region's frame, so each working region keeps its own.
 
@@ -61,6 +62,7 @@ from itertools import pairwise
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
+from .exact import _integer
 from .lgv import HexagonParams, LatticePoint, _unchecked, _validating_make
 from .oracle import PathFamily, PlanePartition, _family
 
@@ -90,6 +92,7 @@ class TriCell(_CellFields):
         if orientation not in (UP, DOWN):
             raise ValueError(f"orientation must be 'up' or 'down', "
                              f"got {orientation!r}")
+        u, v = (_integer("a cell coordinate", w, -math.inf) for w in (u, v))
         return tuple.__new__(cls, (u, v, orientation))
 
     def vertices(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
@@ -115,6 +118,7 @@ class Tile(_TileFields):
     _make = _validating_make
 
     def __new__(cls, down: TriCell, up: TriCell) -> Tile:
+        down, up = TriCell(*down), TriCell(*up)
         if down.orientation != DOWN or up.orientation != UP:
             raise ValueError("a tile pairs one down cell with one up cell")
         if (up.u - down.u, up.v - down.v) not in _PARTNER_OFFSETS:
@@ -249,26 +253,19 @@ def _shape(a: int, b: int, c: int, kind: str) -> dict[str, object]:
     # of x+y.  A cell's vertices have x in u..u+1 and y in v..v+1, which
     # the ranges of u and v keep in bounds, and x+y in u+v+d..u+v+d+1, d =
     # 0 up and 1 down, which bound v.  Cells and region are built
-    # unchecked: orientation and kind are literal.  The walk meets the
-    # down cells sorted, and fills down_cells, _tables and _keys; v spans
-    # y_lo..-1 before the notches.  The full hexagon keeps its notches, so
-    # its frame and polygon lines are the shape's too.
+    # unchecked: orientation and kind are literal.  The region's own
+    # properties derive the rest with r = s = t = 1: _tables reads only
+    # c, and the cells hold every notch of every (r, s, t), so _keys' span
+    # is theirs.  The full hexagon keeps its notches: its frame and lines
+    # are the shape's too.
     step = 1 if kind == "full" else 0
     x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
-    ups, downs = ([(u, max(y_lo, -c - 4 - u - d), min(0, sum_hi - u - d))
-                   for u in range(x_lo, a + b + 2)] for d in (0, 1))
-    down_cells = tuple([tuple.__new__(TriCell, (u, v, DOWN))
-                        for u, lo, hi in downs for v in range(lo, hi)])
-    cells = frozenset([*down_cells, *[tuple.__new__(TriCell, (u, v, UP))
-                                      for u, lo, hi in ups for v in range(lo, hi)]])
-    k, tables, i = 1 - y_lo, {}, 0
-    for u, lo, hi in downs:  # D(u, lo) at height y = u + lo + c + 5, index i
-        if lo < hi:
-            y = u + lo + c + 5
-            tables[u + 1], i = (y, y + hi - lo - 1, i - y), i + hi - lo
-    keys = [u * k + v for u, lo, hi in downs + ups for v in range(lo, hi)]
-    region = _unchecked(Region, kind=kind, cells=cells, down_cells=down_cells,
-                        _tables=tables, _keys=(k, tuple(keys[:i]), frozenset(keys[i:])))
+    cells = frozenset([tuple.__new__(TriCell, (u, v, o)) for u in range(x_lo, a + b + 2)
+                       for d, o in ((0, UP), (1, DOWN)) for v in range(
+                           max(y_lo, -c - 4 - u - d), min(0, sum_hi - u - d))])
+    params = HexagonParams(a, b, c, 1, 1, 1)
+    region = _unchecked(Region, kind=kind, params=params, cells=cells)
+    region.down_cells, region._tables, region._keys
     if kind == "full":  # filled here, so that the shape's tuples share them
         region._svg_frame, region._polygons
     return vars(region)
@@ -440,7 +437,8 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 # The four corners of a tile as offsets from its down cell D(u, v), by
 # lean: the down cell's apex, the shared vertex that sorts first, the up
 # cell's apex, the other shared vertex.  _SHAPES has them, by lean code,
-# as (x, h) offsets from (u, 2v + u), with the fill.
+# and _CELLS a bare cell's three, by orientation, as (x, h) offsets from
+# (u, 2v + u), each with its fill.
 _QUAD_CORNERS = {
     FLAT: ((0, 1), (1, 0), (2, 0), (1, 1)),
     RISING: ((1, 1), (0, 1), (0, 0), (1, 0)),
@@ -449,7 +447,16 @@ _QUAD_CORNERS = {
 _FILL = {FLAT: "#9e9e9e", RISING: "#cfcfcf", FALLING: "#ffffff"}
 _SHAPES = tuple((tuple((dx, 2 * dy + dx) for dx, dy in _QUAD_CORNERS[lean]),
                  _FILL[lean]) for lean in _LEANS)
+_CELLS = {o: (tuple((dx, 2 * dy + dx) for dx, dy in corners), _FILL[FALLING])
+          for o, corners in _CELL_CORNERS.items()}
 _STYLE = 'stroke="#333333" stroke-width="0.03" stroke-linejoin="round"/>'
+
+
+def _polygon(xt: dict[int, str], ht: dict[int, str], u: int, h: int,
+             corners: Sequence[tuple[int, int]], fill: str) -> str:
+    """The polygon line of the corners, (x, h) offsets from (u, h)."""
+    points = " ".join([f"{xt[u + dx]},{ht[h + dh]}" for dx, dh in corners])
+    return f'<polygon points="{points}" fill="{fill}" {_STYLE}'
 
 
 def render_svg(target: Tiling | Region) -> str:
@@ -457,31 +464,23 @@ def render_svg(target: Tiling | Region) -> str:
     lean) or a bare region (one polygon per cell).
 
     Unit edge length, vertices on the (sqrt(3)/2, 1/2) grid, fixed
-    6-decimal coordinates, polygons in sorted order.  The frame (view
-    box, and the text of each column and height) is computed once per
-    region (per shape for the full hexagon) and kept on it, and so is
-    each tile's polygon line once a render first draws it
-    (Region._polygons); a bare region's are not.
+    6-decimal coordinates, polygons in sorted order, each line from
+    _polygon.  The frame (view box, and the text of each column and
+    height) is computed once per region (per shape for the full hexagon)
+    and kept on it, and so is each tile's line once a render first draws
+    it (Region._polygons); a bare region's are not.
     """
     region = target.region if isinstance(target, Tiling) else target
     header, xt, ht = region._svg_frame
     if region is target:  # a bare region: one polygon per cell, formatted per call
-        lines = []
-        for u, v, o in sorted(region.cells):
-            pts = " ".join([f"{xt[u + dx]},{ht[2 * (v + dy) + u + dx]}"
-                            for dx, dy in _CELL_CORNERS[o]])
-            lines.append(f'<polygon points="{pts}" fill="{_FILL[FALLING]}" {_STYLE}')
+        lines = [_polygon(xt, ht, u, 2 * v + u, *_CELLS[o])
+                 for u, v, o in sorted(region.cells)]
     else:
         slots = region._polygons
         used = list(map(add, range(0, len(slots), 3), target.leans))
         if None in map(slots.__getitem__, used):
             for (u, v, _), code, slot in zip(region.down_cells, target.leans, used):
                 if slots[slot] is None:
-                    ((x0, h0), (x1, h1), (x2, h2), (x3, h3)), fill = _SHAPES[code]
-                    h = 2 * v + u
-                    slots[slot] = (f'<polygon points="{xt[u + x0]},{ht[h + h0]} '
-                                   f'{xt[u + x1]},{ht[h + h1]} '
-                                   f'{xt[u + x2]},{ht[h + h2]} '
-                                   f'{xt[u + x3]},{ht[h + h3]}" fill="{fill}" {_STYLE}')
+                    slots[slot] = _polygon(xt, ht, u, 2 * v + u, *_SHAPES[code])
         lines = map(slots.__getitem__, used)
     return "\n".join([header, *lines, "</svg>"]) + "\n"

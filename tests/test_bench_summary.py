@@ -65,3 +65,33 @@ def test_summary_gives_the_median_rounds_per_run(tmp_path, capsys):
     line = next(line for line in capsys.readouterr().out.splitlines()
                 if "rounds per run" in line)
     assert line.split()[-3:] == ["4", "->", "6"]
+
+
+def test_each_end_to_end_metric_gets_a_verdict(tmp_path, capsys):
+    # over bound: the median is worse by more than the bound; unresolved:
+    # not, but the parent's spread is wider than the bound and the runs
+    # overlap; within bound otherwise
+    cases = {
+        "over": ({1: 100.0, 2: 101.0, 3: 99.0}, {1: 130.0, 2: 128.0, 3: 131.0}),
+        "noisy": ({1: 60.0, 2: 100.0, 3: 140.0, 4: 100.0},
+                  {1: 110.0, 2: 95.0, 3: 105.0, 4: 120.0}),
+        "beaten": ({1: 60.0, 2: 100.0, 3: 140.0, 4: 100.0},
+                   {1: 50.0, 2: 55.0, 3: 40.0, 4: 45.0}),
+        "flat": ({1: 100.0, 2: 101.0, 3: 99.0}, {1: 110.0, 2: 109.0, 3: 111.0}),
+    }
+    verdicts = {}
+    for name, (before, after) in cases.items():
+        parent, change = tmp_path / name / "parent", tmp_path / name / "change"
+        write_runs(parent, before, 1000.0)
+        write_runs(change, after, 2000.0)
+        (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        out = tmp_path / name / "BENCH.json"
+        assert bench_summary.main([str(parent), str(change), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())["workloads"]["tilings"]["untraced"]
+        verdicts[name] = doc["metrics"]["total_ref"]["verdict"]
+        assert doc["metrics"]["peak_rss_mb"]["verdict"] == "within bound"
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "total_ref" in line)
+        assert line.endswith(verdicts[name])
+    assert verdicts == {"over": "over bound", "noisy": "unresolved",
+                        "beaten": "within bound", "flat": "within bound"}

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,14 @@ def test_cells_and_tiles_validate_when_replaced():
     with pytest.raises(ValueError, match="one down cell"):
         Tile._make((cell, cell))
     assert tile._replace(up=TriCell(1, 0, "up")).lean == FLAT
+    # a tile's cells may be plain tuples, and are kept as checked TriCells
+    plain = Tile((0, 0, "down"), (1, 0, "up"))
+    assert plain.lean == FLAT and [type(c) for c in plain] == [TriCell, TriCell]
+    assert Tile._make([(0, 0, "down"), (0, 0, "up")]) == tile
+    with pytest.raises(ValueError, match="orientation must be"):
+        Tile((0, 0, "down"), (1, 0, "left"))
+    with pytest.raises(TypeError, match="a cell coordinate must be an integer"):
+        Tile((0, 0, "down"), (1.0, 0, "up"))
 
 
 def test_region_sizes_worked_example():
@@ -182,6 +191,16 @@ def test_region_rejects_unknown_kind():
         assert Tiling(region, tiling.tiles).leans == tiling.leans
     with pytest.raises(ValueError, match="orientation must be 'up' or 'down'"):
         Region("notched", p, [(0, 0, "left")])
+    # a cell's coordinates are checked, and kept as plain ints
+    float_cell = "a cell coordinate must be an integer, got -?[0-9]+\\.0"
+    with pytest.raises(TypeError, match=float_cell):
+        Region("notched", p, [(float(u), v, o) for u, v, o in cells])
+    with pytest.raises(TypeError, match="a cell coordinate must be an integer"):
+        TriCell(0, Fraction(1), "up")
+    flags = TriCell(True, False, "up")
+    assert flags == (1, 0, "up") and [type(w) for w in flags] == [int, int, str]
+    with pytest.raises(TypeError, match="a cell coordinate must be an integer"):
+        TriCell(0, 0, "down")._replace(u=0.5)
 
 
 def reference_cells(a, b, c, kind):
@@ -358,18 +377,6 @@ def test_partner_keys_give_the_cell_rule_verdict():
                     assert verdict == reference_partitions(r, codes), (p, codes)
                     verdicts += verdict
     assert verdicts == 1860  # each tiling on its own region, and nothing else
-
-
-def test_builder_tables_equal_the_properties_of_a_caller_built_region():
-    # the builder fills down_cells, _tables and _keys from its column
-    # walk; a caller-built region with the same cells derives them from
-    # the cells alone, and gets the same values
-    for p in all_params(2, 2, 2):
-        for region in (build_region(p), build_full_region(p)):
-            twin = Region(region.kind, p, region.cells)
-            for name in ("down_cells", "_tables", "_keys"):
-                assert name in vars(region) and name not in vars(twin)
-                assert getattr(region, name) == getattr(twin, name), (p, name)
 
 
 def test_shape_values_equal_the_properties_of_a_caller_built_region():

@@ -11,8 +11,12 @@ code runs more rounds in its ``--seconds``, and a run's peak RSS grows
 with its rounds), and for every metric each side's values by seed,
 their median and quartiles, and the pairs the change won (ties count
 for neither side).  For the end-to-end metrics it also gives the
-median's relative change against the bound in ``BENCHMARK.json``.  The
-commit ids of both checkouts and the facts of the machine are recorded
+median's relative change against the bound in ``BENCHMARK.json``, and a
+verdict: ``over bound`` if the median got worse by more than the bound;
+``unresolved`` if not, but the parent's quartile spread, relative to its
+median, is wider than the bound and not every change run beats every
+parent run, so the runs are too noisy to tell; ``within bound``
+otherwise.  The commit ids of both checkouts and the facts of the machine are recorded
 beside them.  Only the standard library is used.
 """
 
@@ -87,6 +91,10 @@ def compare(name: str, unit: str, better: str, bound: float | None,
     if bound is not None and entry["median_change"] is not None:
         entry["bound"] = bound
         entry["within_bound"] = sign * entry["median_change"] <= bound
+        beats_all = max(sign * a for a in after) < min(sign * b for b in before)
+        noisy = (p_q3 - p_q1) / abs(p_med) > bound and not beats_all
+        entry["verdict"] = ("over bound" if not entry["within_bound"] else
+                            "unresolved" if noisy else "within bound")
     return entry
 
 
@@ -157,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             for name, m in doc["metrics"].items():
                 print(f"{workload:<13} {kind:<9} {name:<34} "
                       f"{m['parent']['median']:>12.4g} -> {m['change']['median']:<12.4g} "
-                      f"won {m['pairs_won']}/{m['pairs']}")
+                      f"won {m['pairs_won']}/{m['pairs']} {m.get('verdict', '')}".rstrip())
     return 0
 
 
