@@ -236,12 +236,9 @@ def notch_cells(p: HexagonParams | Sequence[int]) -> tuple[TriCell, TriCell, Tri
     the s notch on the upper-right long side, s cells from the top; the
     r notch on the bottom side, r cells from the left.
     """
-    a, b, c, r, s, t = HexagonParams(*p)
-    return (
-        TriCell(-1, -t - 1, UP),
-        TriCell(a + b + 1 - s, s - b - 3, UP),
-        TriCell(b + r - 1, -b - c - 3, UP),
-    )
+    a, b, c, r, s, t = HexagonParams(*p)  # checked ints: the cells are valid as built
+    return tuple([tuple.__new__(TriCell, (u, v, UP)) for u, v in (
+        (-1, -t - 1), (a + b + 1 - s, s - b - 3), (b + r - 1, -b - c - 3))])
 
 
 @lru_cache(maxsize=16)  # eight shapes of each kind; holds no tuple's region
