@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .exact import ExactInt, Exponents, _integer
 from .lgv import HexagonParams, _matrix_unchecked, all_params, \
-    det_elimination, minor, validate_parameters, validate_sides, verify_desnanot_jacobi
+    det_elimination, minor, validate_sides, verify_desnanot_jacobi
 
 
 def theorem_bracket(a: int, b: int, c: int, r: int, s: int, t: int) -> ExactInt:
@@ -113,7 +113,7 @@ def det_m00_closed(a: int, b: int, c: int, r: int, s: int) -> ExactInt:
     factorials appear with negative length at the ends of the r range;
     ``Exponents.rising`` supplies the standard extension.
     """
-    a, b, c, r, s, _ = validate_parameters(_integer("side a", a, 1), b, c, r, s, 1)
+    a, b, c, r, s, _ = HexagonParams(_integer("side a", a, 1), b, c, r, s, 1)
     x = Exponents()
     for i in range(1, a + 1):
         x.rising(b + i + 3, c + 1 - i)
@@ -229,7 +229,7 @@ def check_relabelling_identities(
     value, for both the inner minor and the first minor, and the inner
     minor collapses one step further out as well.
     """
-    a, b, c, r, s, t = validate_parameters(a, b, c, r, s, t)
+    a, b, c, r, s, t = HexagonParams(a, b, c, r, s, t)
     star = 1
     n = a + 1  # label of the last row/column of M
 

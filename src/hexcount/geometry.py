@@ -130,9 +130,6 @@ class Tile(_TileFields):
         """'flat', 'rising', or 'falling' (appearance in the rendered frame)."""
         return _PARTNER_OFFSETS[(self.up.u - self.down.u, self.up.v - self.down.v)]
 
-    def cells(self) -> tuple[TriCell, TriCell]:
-        return (self.down, self.up)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -176,6 +173,8 @@ class Region:
         each height h = 2y + x in its view box.  A cell's vertices have x
         in u..u+1 and h in 2v+u..2v+u+2, one more for a down cell; a
         vertex renders at (x * sqrt(3)/2, h/2), and h/2 is y + x/2 exactly."""
+        if not self.cells:
+            raise ValueError("cannot render a region with no cells")
         us = [u for u, _, _ in self.cells]
         hs = [2 * v + u + (o == DOWN) for u, v, o in self.cells]
         x_lo, x_hi, h_lo, h_hi = min(us), max(us) + 1, min(hs), max(hs) + 2

@@ -6,8 +6,8 @@ nonintersecting lattice paths taking unit steps right (+1, 0) and down
 matrix whose (i, j) entry counts the paths from start i to end j.
 
 The parameter domain is stated here once, for every route:
-``validate_parameters``, the 6-tuple ``HexagonParams`` validated when it
-is built, with its path endpoints ``starts`` and ``ends``, and
+``HexagonParams``, the one domain check, a 6-tuple validated when it is
+built, with its path endpoints ``starts`` and ``ends``; and
 ``all_params`` up to given sides.  Parameters are plain ints, checked by
 ``exact._integer`` (a float raises ``TypeError``).  This module also
 builds the count matrix.
@@ -66,20 +66,6 @@ def validate_sides(a: int, b: int, c: int) -> tuple[int, int, int]:
     return _integer("side a", a, 0), _integer("side b", b, 0), _integer("side c", c, 0)
 
 
-def validate_parameters(a: int, b: int, c: int, r: int, s: int, t: int
-                        ) -> tuple[int, ...]:
-    """Check the sides and positions, naming the offender; return plain ints.
-
-    Sides a, b, c are arbitrary nonnegative integers.  The three border
-    positions live in r in 1..a+2, s in 1..b+2, t in 1..c+2; each indexes
-    which of the candidate border cells along one hexagon side carries
-    the fixed tile.
-    """
-    a, b, c = validate_sides(a, b, c)
-    return (a, b, c, _integer("position r", r, 1, a + 2),
-            _integer("position s", s, 1, b + 2), _integer("position t", t, 1, c + 2))
-
-
 class _ParamFields(NamedTuple):
     a: int
     b: int
@@ -91,8 +77,8 @@ class _ParamFields(NamedTuple):
 
 class HexagonParams(_ParamFields):
     """Sides a, b, c >= 0 and border positions r in 1..a+2, s in 1..b+2,
-    t in 1..c+2, as a 6-tuple of ints validated on construction and by
-    ``_replace``.
+    t in 1..c+2, as a 6-tuple of plain ints validated on construction and
+    by ``_replace``: the sides first, then r, s, t, naming the offender.
 
     The underlying hexagon has side lengths a+2, c+2, b+2, a+2, c+2,
     b+2 in cyclic order; r, s, t select which border cell along three
@@ -103,10 +89,10 @@ class HexagonParams(_ParamFields):
     _make = _validating_make
 
     def __new__(cls, a: int, b: int, c: int, r: int, s: int, t: int) -> HexagonParams:
-        return tuple.__new__(cls, validate_parameters(a, b, c, r, s, t))
-
-    def astuple(self) -> tuple[int, int, int, int, int, int]:
-        return tuple(self)
+        a, b, c = validate_sides(a, b, c)
+        return tuple.__new__(cls, (a, b, c, _integer("position r", r, 1, a + 2),
+                                   _integer("position s", s, 1, b + 2),
+                                   _integer("position t", t, 1, c + 2)))
 
     @property
     def starts(self) -> tuple[LatticePoint, ...]:
@@ -135,13 +121,14 @@ def all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
         )
 
 
-def count_paths(start: LatticePoint, end: LatticePoint) -> ExactInt:
-    """Number of right/down lattice paths from start to end.
+def count_paths(start: tuple[int, int], end: tuple[int, int]) -> ExactInt:
+    """Number of right/down lattice paths from start to end, two (x, y) pairs.
 
     Zero when the end is not weakly right of and weakly below the start.
     """
-    right = end.x - start.x
-    down = start.y - end.y
+    (sx, sy), (ex, ey) = start, end
+    right = ex - sx
+    down = sy - ey
     if right < 0 or down < 0:
         return 0
     return binomial(right + down, down)
@@ -183,14 +170,6 @@ class CountMatrix:
         labels = tuple(range(len(entries)))
         return cls(entries, labels, labels)
 
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> ExactInt:
-        """Entry by position (not label)."""
-        return self.entries[i][j]
-
 
 def _matrix_unchecked(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
     # Closed binomial form of count_paths(P_i, Q_j) for these endpoints;
@@ -206,7 +185,7 @@ def _matrix_unchecked(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMa
 
 def build_matrix_M(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
     """The (a+2) x (a+2) path-count matrix M with M[i][j] = #paths(P_i -> Q_j)."""
-    return _matrix_unchecked(*validate_parameters(a, b, c, r, s, t))
+    return _matrix_unchecked(*HexagonParams(a, b, c, r, s, t))
 
 
 def minor(
@@ -342,8 +321,8 @@ def verify_desnanot_jacobi(matrix: CountMatrix | Sequence[Sequence[int]]) -> boo
     the four corners and the interior from ``minor``.
     """
     matrix = CountMatrix.from_rows(matrix)
-    if matrix.order < 2:
-        raise ValueError(f"identity needs order >= 2, got {matrix.order}")
+    if (order := len(matrix.entries)) < 2:
+        raise ValueError(f"identity needs order >= 2, got {order}")
     (r0, *_, r1), (c0, *_, c1) = matrix.row_labels, matrix.col_labels
 
     def sub(drop_rows: tuple[int, ...], drop_cols: tuple[int, ...]) -> ExactInt:

@@ -214,7 +214,7 @@ def test_verify_harness_catches_planted_fault(monkeypatch):
 
     def fault(params, budget):
         value = formula(params, budget)
-        return value + 1 if params.astuple() == planted else value
+        return value + 1 if tuple(params) == planted else value
 
     monkeypatch.setitem(cli.METHODS, "formula", fault)
     outcome = run_verify(1, 1, 1, include_brute=False)
@@ -228,7 +228,7 @@ def test_verify_harness_catches_fault_against_brute(monkeypatch):
 
     def fault(params, budget):
         value = formula(params, budget)
-        return value * 2 if params.astuple() == (0, 0, 0, 1, 1, 1) else value
+        return value * 2 if tuple(params) == (0, 0, 0, 1, 1, 1) else value
 
     monkeypatch.setitem(cli.METHODS, "formula", fault)
     outcome = run_verify(0, 0, 0, include_brute=True)

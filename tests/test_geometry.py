@@ -440,7 +440,7 @@ def test_extension_adds_the_three_border_strips():
     # each notch cell is absorbed by exactly one new tile
     added = set(extended.tiles) - set(tiling.tiles)
     for cell in notch_cells(p):
-        owners = [tile for tile in added if cell in tile.cells()]
+        owners = [tile for tile in added if cell in tile]
         assert len(owners) == 1
 
 
@@ -462,7 +462,7 @@ def test_extension_is_deterministic_and_position_dependent():
     (base,) = borders
     for i, top in ((3, p.a + 2), (4, p.b + 2), (5, p.c + 2)):
         for value in range(1, top + 1):
-            q = list(p.astuple())
+            q = list(p)
             if value != q[i]:
                 q[i] = value
                 assert border(next(iter_path_families(q))) != base, q
@@ -626,6 +626,11 @@ def test_render_region_svg_uses_triangles():
     assert svg.count("<polygon") == 40
     first = re.search(r'points="([^"]+)"', svg)
     assert len(first.group(1).split()) == 3
+    # a region with no cells, bare or under its empty tiling, is refused by name
+    empty = Region("notched", (2, 1, 1, 2, 2, 1), ())
+    for target in (empty, Tiling(empty, ())):
+        with pytest.raises(ValueError, match="^cannot render a region with no cells$"):
+            render_svg(target)
 
 
 def test_render_is_deterministic():

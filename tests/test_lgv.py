@@ -30,7 +30,6 @@ from hexcount.lgv import (
     det_condensation,
     det_elimination,
     minor,
-    validate_parameters,
     verify_desnanot_jacobi,
 )
 
@@ -72,12 +71,12 @@ small_matrix = st.integers(min_value=1, max_value=5).flatmap(
 
 def test_validate_names_the_offending_parameter():
     with pytest.raises(ValueError, match="side b"):
-        validate_parameters(0, -1, 0, 1, 1, 1)
+        HexagonParams(0, -1, 0, 1, 1, 1)
     with pytest.raises(ValueError, match="position t"):
-        validate_parameters(1, 1, 1, 1, 1, 4)
+        HexagonParams(1, 1, 1, 1, 1, 4)
     with pytest.raises(ValueError, match="position r"):
-        validate_parameters(1, 1, 1, 0, 1, 1)
-    validate_parameters(0, 0, 0, 2, 2, 2)  # upper ends are inclusive
+        HexagonParams(1, 1, 1, 0, 1, 1)
+    HexagonParams(0, 0, 0, 2, 2, 2)  # upper ends are inclusive
 
 
 # ------------------------------------------------------------- configuration
@@ -109,6 +108,10 @@ def test_count_paths_rectangle():
     assert count_paths(LatticePoint(0, 0), LatticePoint(0, 0)) == 1
     assert count_paths(LatticePoint(1, 0), LatticePoint(0, 0)) == 0  # left
     assert count_paths(LatticePoint(0, 0), LatticePoint(0, 1)) == 0  # up
+    # any (x, y) pair will do, as for MonotonePath and PathFamily
+    assert count_paths((0, 3), (2, 0)) == count_paths([0, 3], [2, 0]) == binomial(5, 3)
+    assert count_paths((0, 0), (1, 0)) == 1
+    assert count_paths([1, 0], [0, 0]) == 0  # left
 
 
 @given(
@@ -126,7 +129,7 @@ def test_matrix_entries_count_paths(a, b, c, data):
     m = build_matrix_M(a, b, c, r, s, t)
     for i in range(a + 2):
         for j in range(a + 2):
-            assert m.entry(i, j) == count_paths(cfg.starts[i], cfg.ends[j])
+            assert m.entries[i][j] == count_paths(cfg.starts[i], cfg.ends[j])
 
 
 def test_matrix_minimal_case_entries():
@@ -165,7 +168,7 @@ def test_minor_errors():
 def test_minor_delete_everything_gives_empty_determinant_one():
     m = CountMatrix.from_rows([[1, 2], [3, 4]])
     empty = minor(m, (0, 1), (0, 1))
-    assert empty.order == 0
+    assert len(empty.entries) == 0
     assert det_elimination(empty) == 1
     assert det_condensation(empty) == 1
 
@@ -257,7 +260,7 @@ def _path_matrix_params():
 def test_condensation_on_path_matrices_needs_no_fallback():
     for params in _path_matrix_params():
         matrix = build_matrix_M(*params)
-        n = matrix.order
+        n = len(matrix.entries)
         stats = CondensationStats()
         assert det_condensation(matrix, stats) == det_elimination(matrix), params
         assert stats.fallbacks == 0, params
@@ -330,7 +333,6 @@ def test_hexagon_params_is_the_validated_plain_tuple():
     assert all(type(v) is int for v in (a, b, c, r, s, t))
     plain = (2, 1, 1, 2, 2, 1)
     assert p == plain and hash(p) == hash(plain)
-    assert type(p.astuple()) is tuple and p.astuple() == plain
     with pytest.raises(ValueError, match="position t must be in 1..3, got 4"):
         HexagonParams(2, 1, 1, 2, 2, 4)
     with pytest.raises(ValueError, match="position r must be in 1..4, got 9"):
