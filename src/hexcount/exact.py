@@ -8,7 +8,8 @@ package's convention of zero binomials outside the Pascal triangle, and
 ``pochhammer`` is the rising factorial with any integer base (exported,
 though no package code calls it).  ``Exponents`` evaluates products and
 quotients of factorials, superfactorials and rising factorials of
-positive integers without forming any of them.  Nothing here caches.
+positive integers without forming any of them, recording each in O(1)
+and multiplying out once, over primes.  Nothing here caches.
 ``_integer`` is the package's one integer rule, here at the bottom of
 the import graph so that every module can use it.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import accumulate, compress
 
 ExactInt = int
 factorial = math.factorial  # n! for n >= 0; ValueError below 0, TypeError on a float
@@ -38,15 +40,15 @@ def _integer(name: str, value: int, lo: float, hi: int | None = None) -> int:
 class Exponents:
     """A rational number held as one integer exponent per positive integer.
 
-    Factors are recorded, never multiplied out, so a ratio of
-    superfactorials costs a few additions per integer.  ``value`` moves
-    the exponents onto primes by Legendre's formula, multiplies the
-    positive part in a balanced product tree and divides once, exactly,
-    by the negative part.
+    Factors are recorded in O(1) as second differences of the exponents:
+    an interval of factors changes four entries, a superfactorial three.
+    ``value`` rebuilds the exponents by two running sums, moves them onto
+    primes by Legendre's formula, multiplies each side out by squaring
+    over the bits of the prime exponents, and divides once, exactly.
     """
 
     def __init__(self) -> None:
-        self._exps = [0, 0]
+        self._diffs = [0, 0]
 
     def interval(self, lo: int, hi: int, e: int = 1) -> None:
         """Multiply by (lo (lo+1) ... hi)**e, for lo >= 1; empty when hi < lo."""
@@ -54,9 +56,12 @@ class Exponents:
             return
         if lo < 1:
             raise ValueError(f"factors must be >= 1, got {lo}..{hi}")
-        exps = self._exps
-        exps.extend([0] * (hi + 1 - len(exps)))
-        exps[lo:hi + 1] = [x + e for x in exps[lo:hi + 1]]
+        diffs = self._diffs
+        diffs.extend([0] * (hi + 3 - len(diffs)))
+        diffs[lo] += e
+        diffs[lo + 1] -= e
+        diffs[hi + 1] -= e
+        diffs[hi + 2] += e
 
     def rising(self, base: int, length: int, e: int = 1) -> None:
         """Multiply by the rising factorial (base)_length to the power e.
@@ -73,42 +78,47 @@ class Exponents:
 
     def superfactorial(self, n: int, e: int = 1) -> None:
         """Multiply by (0! 1! ... n!)**e, in which k occurs n+1-k times;
-        empty for n < 1."""
-        exps = self._exps
-        exps.extend([0] * (n + 1 - len(exps)))
-        for k in range(2, n + 1):
-            exps[k] += e * (n + 1 - k)
+        empty for n < 2."""
+        if n < 2:
+            return
+        diffs = self._diffs  # the exponent e(n+1-k) falls by e a step
+        diffs.extend([0] * (n + 3 - len(diffs)))
+        diffs[2] += e * (n - 1)
+        diffs[3] -= e * n
+        diffs[n + 2] += e
 
     def value(self, cofactor: int = 1, what: str = "product") -> ExactInt:
         """The recorded number times ``cofactor``, which may be any int.
         Raises ``ArithmeticError`` if the result is not an integer."""
-        exps = self._exps
+        exps = list(accumulate(accumulate(self._diffs)))
         top = len(exps) - 1
-        numerator, denominator = [cofactor], []
-        sieve = bytearray([1]) * (top + 1)
-        for p in range(2, top + 1):
-            if not sieve[p]:
-                continue
-            sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+        sieve = bytearray(2) + bytearray([1]) * (top - 1)
+        for p in range(2, math.isqrt(top) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, top + 1, p)))
+        primes = list(compress(range(top + 1), sieve))
+        powers = []
+        for p in primes:
             e, q = 0, p
             while q <= top:  # Legendre: k holds one p per power q of p dividing it
                 e += sum(exps[q::q])
                 q *= p
-            if e:
-                (numerator if e > 0 else denominator).append(p ** abs(e))
-        quotient, remainder = divmod(_product(numerator), _product(denominator))
+            powers.append(e)
+        quotient, remainder = divmod(
+            cofactor * _power_product(primes, [max(e, 0) for e in powers]),
+            _power_product(primes, [max(-e, 0) for e in powers]))
         if remainder:
             raise ArithmeticError(f"{what} evaluated to a non-integer")
         return quotient
 
 
-def _product(factors: list[int]) -> ExactInt:
-    """Product by a balanced tree, so the large multiplications pair
-    operands of similar size."""
-    while len(factors) > 1:
-        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
-        factors = paired + factors[len(paired) * 2:]
-    return factors[0] if factors else 1
+def _power_product(primes: list[int], exps: list[int]) -> ExactInt:
+    """The product of p**e over the primes and their exponents, e >= 0, by
+    squaring over the exponents' bits from the highest down."""
+    acc = 1
+    for i in reversed(range(max(exps, default=0).bit_length())):
+        acc = acc * acc * math.prod(compress(primes, [e >> i & 1 for e in exps]))
+    return acc
 
 
 def superfactorial(n: int) -> ExactInt:

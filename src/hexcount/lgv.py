@@ -38,6 +38,7 @@ Two independent exact determinant algorithms follow:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -127,6 +128,7 @@ def count_paths(start: tuple[int, int], end: tuple[int, int]) -> ExactInt:
     Zero when the end is not weakly right of and weakly below the start.
     """
     (sx, sy), (ex, ey) = start, end
+    sx, sy, ex, ey = (_integer("a path coordinate", v, -math.inf) for v in (sx, sy, ex, ey))
     right = ex - sx
     down = sy - ey
     if right < 0 or down < 0:

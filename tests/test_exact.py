@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +64,53 @@ def test_exponents_match_direct_products():
     expected = factorial(7) * superfactorial(4) ** 2 * 110**3
     assert expected % (3 * 4 * 5 * 6 * 8 * 7) == 0
     assert x.value(-11) == -11 * expected // (3 * 4 * 5 * 6 * 8 * 7)
+
+
+def test_exponents_match_direct_products_on_random_recordings():
+    # every recording kind, empty ranges and negative lengths included, against
+    # the same factors multiplied out and one exact division
+    rng = random.Random(29)
+
+    def sf(n):
+        return math.prod(map(math.factorial, range(n + 1)))
+
+    for _ in range(400):
+        x, num, den = Exponents(), 1, 1
+        for _ in range(rng.randint(0, 6)):
+            kind, e = rng.randrange(4), rng.choice((-3, -2, -1, 1, 2, 3))
+            if kind == 0:
+                lo = rng.randint(1, 60)
+                hi = rng.randint(lo - 3, lo + 40)
+                x.interval(lo, hi, e)
+                factor = math.prod(range(lo, hi + 1))
+            elif kind == 1:
+                base = rng.randint(1, 40)
+                length = rng.randint(1 - base, 30)
+                x.rising(base, length, e)
+                if length >= 0:
+                    factor = math.prod(range(base, base + length))
+                else:  # 1 / ((base-1)(base-2)...(base+length))
+                    factor, e = math.prod(range(base + length, base)), -e
+            elif kind == 2:
+                n = rng.randint(0, 60)
+                x.factorial(n, e)
+                factor = math.factorial(n)
+            else:
+                n = rng.choice((-1, 0, 1, 2, 3, rng.randint(4, 60)))
+                x.superfactorial(n, e)
+                factor = sf(max(n, 0))
+            if e > 0:
+                num *= factor**e
+            else:
+                den *= factor**-e
+        cofactor = rng.choice((0, 1, -1, -rng.randint(2, 10**6),
+                               rng.randint(-10**40, 10**40), den * rng.randint(-99, 99)))
+        quotient, remainder = divmod(cofactor * num, den)
+        if remainder:
+            with pytest.raises(ArithmeticError, match="non-integer"):
+                x.value(cofactor)
+        else:
+            assert x.value(cofactor) == quotient
 
 
 def test_exponents_reject_a_denominator_that_does_not_divide():

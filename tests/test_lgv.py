@@ -112,6 +112,10 @@ def test_count_paths_rectangle():
     assert count_paths((0, 3), (2, 0)) == count_paths([0, 3], [2, 0]) == binomial(5, 3)
     assert count_paths((0, 0), (1, 0)) == 1
     assert count_paths([1, 0], [0, 0]) == 0  # left
+    assert count_paths((True, 0), (2, False)) == 1  # a bool is an int
+    for start, end, bad in (((0, 0), (1.5, 0), "1.5"), ((0.0, 1), (1, 0), "0.0")):
+        with pytest.raises(TypeError, match=f"a path coordinate must be an integer, got {bad}"):
+            count_paths(start, end)
 
 
 @given(
