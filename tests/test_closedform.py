@@ -112,6 +112,9 @@ def test_propp_matches_general_count_at_large_size():
 def test_count_matches_the_theorem_multiplied_out_at_workload_scale():
     # 10^4-bit counts, with no Exponents: the superfactorial ratio telescopes
     # into runs of factorials, and one exact division must leave no remainder
+    def factorials(lo, hi):
+        return math.prod(map(math.factorial, range(lo, hi + 1)))
+
     rng = random.Random(29)
     for _ in range(5):
         a, b, c = rng.randint(20, 60), rng.randint(100, 220), rng.randint(100, 220)
@@ -119,10 +122,6 @@ def test_count_matches_the_theorem_multiplied_out_at_workload_scale():
         r, s, t = p[3:]
         rising = math.prod(math.prod(range(x, x + n)) for x, n in (
             (r + 1, b), (s + 1, c), (t + 1, a), (c + 3 - t, b), (a + 3 - r, c), (b + 3 - s, a)))
-
-        def factorials(lo, hi):
-            return math.prod(map(math.factorial, range(lo, hi + 1)))
-
         # sf(a) sf(b) sf(c) sf(a+b+c+2) / (sf(b+c+2) sf(a+c+2) sf(a+b+2)), sf(n) = 0!...n!
         numerator = factorials(a + b + 3, a + b + c + 2) * factorials(0, b)
         denominator = factorials(a + 1, a + c + 2) * factorials(c + 1, b + c + 2)

@@ -70,10 +70,6 @@ def test_exponents_match_direct_products_on_random_recordings():
     # every recording kind, empty ranges and negative lengths included, against
     # the same factors multiplied out and one exact division
     rng = random.Random(29)
-
-    def sf(n):
-        return math.prod(map(math.factorial, range(n + 1)))
-
     for _ in range(400):
         x, num, den = Exponents(), 1, 1
         for _ in range(rng.randint(0, 6)):
@@ -98,7 +94,7 @@ def test_exponents_match_direct_products_on_random_recordings():
             else:
                 n = rng.choice((-1, 0, 1, 2, 3, rng.randint(4, 60)))
                 x.superfactorial(n, e)
-                factor = sf(max(n, 0))
+                factor = math.prod(map(math.factorial, range(max(n, 0) + 1)))
             if e > 0:
                 num *= factor**e
             else:
