@@ -128,8 +128,8 @@ class RunReport:
 
 METHODS: dict[str, Callable[[HexagonParams, int | None], ExactInt]] = {
     "formula": lambda p, budget: count_theorem1(p),
-    "det": lambda p, budget: det_elimination(build_matrix_M(*p)),
-    "det-condense": lambda p, budget: det_condensation(build_matrix_M(*p)),
+    "det": lambda p, budget: det_elimination(build_matrix_M(*p.fewest_paths)),
+    "det-condense": lambda p, budget: det_condensation(build_matrix_M(*p.fewest_paths)),
     "brute": lambda p, budget: enumerate_path_families(p, budget=Budget(budget)),
     "brute-pp": lambda p, budget: enumerate_constrained_pp(p, budget=Budget(budget)),
 }

@@ -7,10 +7,10 @@ matrix whose (i, j) entry counts the paths from start i to end j.
 
 The parameter domain is stated here once, for every route:
 ``HexagonParams``, the one domain check, a 6-tuple validated when it is
-built, with its path endpoints ``starts`` and ``ends``; and
-``all_params`` up to given sides.  Parameters are plain ints, checked by
-``exact._integer`` (a float raises ``TypeError``).  This module also
-builds the count matrix.
+built, with its path endpoints ``starts`` and ``ends`` and its turn with
+the fewest paths, ``fewest_paths``; and ``all_params`` up to given
+sides.  Parameters are plain ints, checked by ``exact._integer`` (a
+float raises ``TypeError``).  This module also builds the count matrix.
 Every matrix argument goes through ``CountMatrix.from_rows``: a
 ``CountMatrix`` as is, raw rows with integer entries and a square shape.
 Two independent exact determinant algorithms follow:
@@ -83,7 +83,8 @@ class HexagonParams(_ParamFields):
 
     The underlying hexagon has side lengths a+2, c+2, b+2, a+2, c+2,
     b+2 in cyclic order; r, s, t select which border cell along three
-    alternating sides carries a fixed rhombus.
+    alternating sides carries a fixed rhombus.  A turn by 120 degrees
+    maps its tilings one to one onto those of (b, c, a, s, t, r).
     """
 
     __slots__ = ()
@@ -109,6 +110,14 @@ class HexagonParams(_ParamFields):
         b, r = self.b, self.r
         shifted = (j + (1 if j >= r else 0) for j in range(self.a + 2))
         return tuple(_point((b + k, k)) for k in shifted)
+
+    @property
+    def fewest_paths(self) -> HexagonParams:
+        """The turn of p with the fewest paths, min(a, b, c) + 2: the first
+        of p, (b, c, a, s, t, r) and (c, a, b, t, r, s) with the least a."""
+        a, b, c, r, s, t = self  # a turn of a checked tuple is checked
+        turns = self, (b, c, a, s, t, r), (c, a, b, t, r, s)
+        return tuple.__new__(HexagonParams, min(turns, key=operator.itemgetter(0)))
 
 
 def all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
@@ -272,7 +281,8 @@ def det_condensation(
     (NW * SE - NE * SW) / interior from layers k-1 and k-2.  A block with
     a zero interior is 0 if it has a row or column that is zero inside it
     (the zero-line rule), and is computed by elimination otherwise.
-    ``stats`` counts the blocks evaluated and those eliminations.
+    ``stats`` counts the blocks and those eliminations.  The CLI never passes
+    M with a > b+c (it turns p to ``fewest_paths``); the tests still do.
     """
     rows = _as_rows(matrix)
     n = len(rows)

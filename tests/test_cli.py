@@ -414,6 +414,29 @@ def test_plane_partition_count_has_no_depth_limit(capsys):
         ["brute-pp", "1001"], ["formula", "1001"]]
 
 
+def test_determinants_are_taken_on_the_turn_with_the_fewest_paths(capsys, monkeypatch):
+    orders, build_matrix_M = [], cli.build_matrix_M
+
+    def build(*params):
+        matrix = build_matrix_M(*params)
+        orders.append(len(matrix.entries))
+        return matrix
+
+    monkeypatch.setattr(cli, "build_matrix_M", build)
+    params = ("48", "21", "35", "28", "3", "32")
+    code, out, err = run(capsys, "count", *params, "--json")
+    assert code == EXIT_OK
+    assert orders == [23, 23]  # min(a, b, c) + 2, not a + 2 = 50
+    expected = str(count_theorem1(tuple(map(int, params))))
+    assert [r["value"] for r in json.loads(out)["results"]] == [expected] * 3
+    orders.clear()
+    code, out, err = run(capsys, "propp", "2", "--json")
+    assert code == EXIT_OK
+    assert orders == [6]  # a = b = c = 4
+    expected = str(count_theorem1((4, 4, 4, 3, 3, 3)))
+    assert [r["value"] for r in json.loads(out)["results"]] == [expected] * 3
+
+
 def test_unexpected_exception_is_exit_4(capsys, monkeypatch):
     def broken(p, budget):
         raise ZeroDivisionError("planted\nsecond line")
