@@ -4,15 +4,15 @@ Subcommands:
 
 * ``count``      evaluate one parameter tuple by several methods
 * ``propp``      the symmetric special case, checked against the
-                 general formula and the determinant (no budget: none
-                 of its methods enumerates)
+                 general formula and the determinant (a fixed meter
+                 limit of 10^8, as none of its methods enumerates)
 * ``verify``     sweep all parameter tuples up to given side bounds and
                  cross-check every method
 * ``identities`` tally the identity suite of ``closedform.identity_checks``
 * ``render``     write an SVG of a tiling (or the bare region)
 
-``count``, ``propp`` and ``verify`` run their methods through one timed
-loop, ``_evaluate``, and judge agreement by one rule, ``RunReport.agree``.
+``count``, ``propp`` and ``verify`` pick methods by ``_parse_methods``, time each
+as ``method(p, Budget(limit))`` in ``_evaluate`` and judge by ``RunReport.agree``.
 Each ``cmd_*`` returns its summary dict, text lines and verdict; ``main``
 alone prints one or the other (JSON under ``--json``) and picks the exit code.
 
@@ -48,6 +48,7 @@ from .geometry import (
 from .lgv import HexagonParams, all_params, build_matrix_M, det_condensation, \
     det_elimination
 from .oracle import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetExceededError,
     enumerate_constrained_pp,
@@ -126,12 +127,12 @@ class RunReport:
         return lines + [f"  agree: {'yes' if self.agree else 'NO'}"]
 
 
-METHODS: dict[str, Callable[[HexagonParams, int | None], ExactInt]] = {
-    "formula": lambda p, budget: count_theorem1(p),
-    "det": lambda p, budget: det_elimination(build_matrix_M(*p.fewest_paths)),
-    "det-condense": lambda p, budget: det_condensation(build_matrix_M(*p.fewest_paths)),
-    "brute": lambda p, budget: enumerate_path_families(p, budget=Budget(budget)),
-    "brute-pp": lambda p, budget: enumerate_constrained_pp(p, budget=Budget(budget)),
+METHODS: dict[str, Callable[[HexagonParams, Budget], ExactInt]] = {
+    "formula": lambda p, meter: count_theorem1(p),
+    "det": lambda p, meter: det_elimination(build_matrix_M(*p.fewest_paths)),
+    "det-condense": lambda p, meter: det_condensation(build_matrix_M(*p.fewest_paths)),
+    "brute": lambda p, meter: enumerate_path_families(p, budget=meter),
+    "brute-pp": lambda p, meter: enumerate_constrained_pp(p, budget=meter),
 }
 
 DEFAULT_METHODS = "formula,det,det-condense"
@@ -149,13 +150,13 @@ class _MethodError(Exception):
 
 def _evaluate(p: HexagonParams, methods: Sequence[tuple[str, Callable]],
               budget: int | None) -> list[MethodResult]:
-    """Time each (name, method); one over budget is skipped, unless all are.
-    Any other exception becomes a ``_MethodError`` naming the method and p."""
+    """Time each (name, method) on p and a fresh meter; one over budget is
+    skipped, unless all are.  Other exceptions become ``_MethodError``s."""
     results = []
     for name, method in methods:
         start = time.perf_counter()
         try:
-            value, note = method(p, budget), ""
+            value, note = method(p, Budget(budget)), ""
         except BudgetExceededError as exc:
             exceeded, value, note = exc, None, str(exc)
         except Exception as exc:
@@ -197,8 +198,7 @@ def _report(args: argparse.Namespace, p: HexagonParams,
             methods: Sequence[tuple[str, Callable]], **header: int) -> Outcome:
     """Evaluate, and return the outcome of ``args.command``."""
     params = {**header, **{k: getattr(p, k) for k in "abcrst"}}
-    budget = getattr(args, "budget", None)  # propp takes none
-    report = RunReport(args.command, params, _evaluate(p, methods, budget))
+    report = RunReport(args.command, params, _evaluate(p, methods, args.budget))
     return report.to_dict(), report.lines(), report.agree
 
 
@@ -210,22 +210,21 @@ def cmd_count(args: argparse.Namespace) -> Outcome:
 def cmd_propp(args: argparse.Namespace) -> Outcome:
     n = _usage(_integer, "n", args.n, 0)
     p = HexagonParams(2 * n, 2 * n, 2 * n, n + 1, n + 1, n + 1)
-    methods = [("special-form", lambda p, budget: count_propp(n)),
-               ("formula", METHODS["formula"]), ("det", METHODS["det"])]
+    methods = [("special-form", lambda p, meter: count_propp(n)),
+               *_parse_methods("formula,det")]
     return _report(args, p, methods, n=n)
 
 
 def run_verify(max_a: int, max_b: int, max_c: int, budget: int | None = None,
                include_brute: bool = True) -> dict:
-    """Run the methods of ``METHODS`` on every parameter tuple with sides
-    up to the given bounds, through ``_evaluate`` as ``count`` does, judge
-    each tuple by ``RunReport.agree``, and fold them into a summary dict.
+    """Run ``METHODS`` (``DEFAULT_METHODS`` without ``include_brute``) on every
+    tuple with sides up to the given bounds through ``_evaluate``, judge each
+    by ``RunReport.agree``, and fold them into a summary dict.
 
     A brute-force method that exceeds its per-instance budget is
     recorded as skipped for that instance, not failed.
     """
-    methods = [(name, method) for name, method in METHODS.items()
-               if include_brute or not name.startswith("brute")]
+    methods = _parse_methods(",".join(METHODS) if include_brute else DEFAULT_METHODS)
     instances, disagreements, skipped = 0, [], []
     for instances, params in enumerate(all_params(max_a, max_b, max_c), 1):
         report = RunReport("verify", {}, _evaluate(HexagonParams(*params),
@@ -315,12 +314,14 @@ def _add_params(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(name, type=int)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true",
-                     help="machine-readable output (counts as strings)")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="node-expansion budget per enumeration "
-                          "(default: HEXCOUNT_BUDGET or 10^8)")
+def _add_common(sub: argparse.ArgumentParser, flags=("--json", "--budget")) -> None:
+    if "--json" in flags:
+        sub.add_argument("--json", action="store_true",
+                         help="machine-readable output (counts as strings)")
+    if "--budget" in flags:
+        sub.add_argument("--budget", type=int, default=None,
+                         help="node-expansion budget per enumeration "
+                              "(default: HEXCOUNT_BUDGET or 10^8)")
 
 
 @functools.cache
@@ -344,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_propp = sub.add_parser("propp", help="symmetric special case a=b=c=2n")
     p_propp.add_argument("n", type=int)
-    p_propp.add_argument("--json", action="store_true",
-                         help="machine-readable output (counts as strings)")
-    p_propp.set_defaults(func=cmd_propp)
+    _add_common(p_propp, ("--json",))
+    p_propp.set_defaults(func=cmd_propp, budget=DEFAULT_BUDGET)
 
     p_verify = sub.add_parser("verify",
                               help="cross-check all methods on a sweep")
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--trials", type=int, default=100,
                          help="random trials per randomized check (default 100)")
     p_ident.add_argument("--seed", type=int, default=0)
-    p_ident.add_argument("--json", action="store_true")
+    _add_common(p_ident, ("--json",))
     p_ident.set_defaults(func=cmd_identities)
 
     p_render = sub.add_parser("render", help="write an SVG")
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--full", action="store_true",
                           help="extend the tiling to the full hexagon; with "
                                "--region-only, render the bare full hexagon")
-    p_render.add_argument("--budget", type=int, default=None)
+    _add_common(p_render, ("--budget",))
     p_render.set_defaults(func=cmd_render)
     return parser
 

@@ -11,9 +11,9 @@ built, with its path endpoints ``starts`` and ``ends`` and its turn with
 the fewest paths, ``fewest_paths``; and ``all_params`` up to given
 sides.  Parameters are plain ints, checked by ``exact._integer`` (a
 float raises ``TypeError``).  This module also builds the count matrix.
-Every matrix argument goes through ``CountMatrix.from_rows``: a
-``CountMatrix`` as is, raw rows with integer entries and a square shape.
-Two independent exact determinant algorithms follow:
+Every matrix argument goes through ``CountMatrix.from_rows``; the constructor
+is the one check (integer entries, square shape), which this module's own
+builders skip.  Two independent exact determinant algorithms follow:
 
 * ``det_elimination``: fraction-free Gaussian elimination (Bareiss).
   All intermediate values stay integers; the quotient at each step is
@@ -150,7 +150,9 @@ class CountMatrix:
     """Square integer matrix with persistent row/column labels.
 
     Labels name the original path indices, so a minor of a minor still
-    knows which rows of the full matrix it came from.
+    knows which rows of the full matrix it came from.  Entries and labels
+    are stored as tuples, each entry an integer: ``operator.index`` raises
+    ``TypeError`` on a float or a ``Fraction``.
     """
 
     entries: tuple[tuple[ExactInt, ...], ...]
@@ -158,28 +160,23 @@ class CountMatrix:
     col_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+        entries = tuple(tuple(map(operator.index, row)) for row in self.entries)
+        rows, cols = tuple(self.row_labels), tuple(self.col_labels)
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
-        if len(self.row_labels) != n or len(self.col_labels) != n:
+        if len(rows) != n or len(cols) != n:
             raise ValueError("need one label per row and one per column")
-        if len(set(self.row_labels)) != n or len(set(self.col_labels)) != n:
+        if len(set(rows)) != n or len(set(cols)) != n:
             raise ValueError("labels must be distinct")
+        vars(self).update(entries=entries, row_labels=rows, col_labels=cols)
 
     @classmethod
     def from_rows(cls, rows: CountMatrix | Sequence[Sequence[int]]) -> CountMatrix:
-        """The matrix of raw rows, labelled 0..n-1 (a ``CountMatrix`` as is).
-
-        This is the one conversion of raw rows: each entry must be an
-        integer (``operator.index`` takes ints and bools and raises
-        ``TypeError`` on a float or a ``Fraction``), and the constructor
-        checks that the rows make a square.
-        """
+        """The matrix of raw rows, labelled 0..n-1 (a ``CountMatrix`` as is)."""
         if isinstance(rows, cls):
             return rows
-        entries = tuple(tuple(map(operator.index, row)) for row in rows)
-        labels = tuple(range(len(entries)))
-        return cls(entries, labels, labels)
+        return cls(rows, range(len(rows)), range(len(rows)))
 
 
 def _matrix_unchecked(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
@@ -191,7 +188,8 @@ def _matrix_unchecked(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMa
                 for i in range(1, a + 1))
     rows.append(tuple(binomial(c + s, jj - a - 2 + s) for jj in ends))
     labels = tuple(range(a + 2))
-    return CountMatrix(tuple(rows), labels, labels)
+    return _unchecked(CountMatrix, entries=tuple(rows), row_labels=labels,
+                      col_labels=labels)
 
 
 def build_matrix_M(a: int, b: int, c: int, r: int, s: int, t: int) -> CountMatrix:
@@ -223,11 +221,9 @@ def minor(
     keep_r = [i for i, lab in enumerate(matrix.row_labels) if lab not in dr]
     keep_c = [j for j, lab in enumerate(matrix.col_labels) if lab not in dc]
     entries = tuple(tuple(matrix.entries[i][j] for j in keep_c) for i in keep_r)
-    return CountMatrix(
-        entries,
-        tuple(matrix.row_labels[i] for i in keep_r),
-        tuple(matrix.col_labels[j] for j in keep_c),
-    )
+    return _unchecked(CountMatrix, entries=entries,
+                      row_labels=tuple(matrix.row_labels[i] for i in keep_r),
+                      col_labels=tuple(matrix.col_labels[j] for j in keep_c))
 
 
 def _as_rows(matrix: CountMatrix | Sequence[Sequence[int]]) -> list[list[int]]:

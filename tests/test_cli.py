@@ -23,7 +23,7 @@ from hexcount.cli import (
     run_verify,
 )
 from hexcount.closedform import count_theorem1
-from hexcount.lgv import CountMatrix
+from hexcount.lgv import CountMatrix, all_params
 
 
 def run(capsys, *argv):
@@ -235,6 +235,57 @@ def test_verify_harness_catches_fault_against_brute(monkeypatch):
     assert not outcome["ok"]
     values = outcome["disagreements"][0]["values"]
     assert values["formula"] != values["brute"]
+
+
+def record_meters(monkeypatch):
+    """Wrap every route so that each call records (name, p, meter, used)."""
+    calls = []
+    for name, method in list(cli.METHODS.items()):
+        def recorded(p, meter, name=name, method=method):
+            calls.append((name, tuple(p), meter, meter.used))
+            return method(p, meter)
+        monkeypatch.setitem(cli.METHODS, name, recorded)
+    return calls
+
+
+def test_every_route_call_gets_a_fresh_meter(capsys, monkeypatch):
+    calls = record_meters(monkeypatch)
+    monkeypatch.setenv("HEXCOUNT_BUDGET", "4000")
+    argv = ("count", "1", "1", "1", "1", "1", "1",
+            "--methods", "brute,formula,brute,det,brute-pp,det-condense")
+    for budget in ("5000", None):
+        calls.clear()
+        code, out, err = run(capsys, *argv, *(("--budget", budget) if budget else ()))
+        assert code == EXIT_OK
+        assert [name for name, *_ in calls] == argv[-1].split(",")
+        meters = [meter for _, _, meter, _ in calls]
+        assert len(set(map(id, meters))) == len(calls)  # the two brutes too
+        assert all(used == 0 for *_, used in calls)
+        assert {meter.limit for meter in meters} == {int(budget or "4000")}
+
+
+@pytest.mark.parametrize("raw", ["abc", "123"])
+def test_propp_meters_have_the_fixed_limit(capsys, monkeypatch, raw):
+    calls = record_meters(monkeypatch)
+    monkeypatch.setenv("HEXCOUNT_BUDGET", raw)
+    code, out, err = run(capsys, "propp", "1")
+    assert code == EXIT_OK and err == ""
+    assert [name for name, *_ in calls] == ["formula", "det"]
+    assert all(meter.limit == 10**8 and used == 0 for _, _, meter, used in calls)
+
+
+@pytest.mark.parametrize("include_brute, routes", [
+    (False, ["formula", "det", "det-condense"]),
+    (True, ["formula", "det", "det-condense", "brute", "brute-pp"]),
+])
+def test_verify_runs_its_routes_on_every_tuple(monkeypatch, include_brute, routes):
+    calls = record_meters(monkeypatch)
+    assert run_verify(1, 1, 1, budget=5000, include_brute=include_brute)["ok"]
+    tuples = list(all_params(1, 1, 1))
+    assert [(name, p) for name, p, *_ in calls] == [
+        (name, p) for p in tuples for name in routes]
+    assert len({id(meter) for _, _, meter, _ in calls}) == len(calls)
+    assert all(meter.limit == 5000 for _, _, meter, _ in calls)
 
 
 def test_identities_command(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -150,6 +151,20 @@ def test_macmahon_symmetry(a, b, c):
     reference = count_macmahon_box(a, b, c)
     assert count_macmahon_box(b, c, a) == reference
     assert count_macmahon_box(c, a, b) == reference
+
+
+def test_sum_rule_against_macmahon_boxes():
+    # summed over every (r, s, t), the count is the inclusion-exclusion of
+    # the eight MacMahon boxes (a+2-i) x (b+2-j) x (c+2-k), i, j, k in {0, 1}:
+    # every shape with sides <= 4, and one seeded shape past them
+    rng = random.Random(31)
+    shapes = [*itertools.product(range(5), repeat=3), [rng.randint(5, 12) for _ in "abc"]]
+    for a, b, c in shapes:
+        total = sum(count_theorem1((a, b, c, *rst)) for rst in itertools.product(
+            range(1, a + 3), range(1, b + 3), range(1, c + 3)))
+        boxes = sum((-1) ** (i + j + k) * count_macmahon_box(a + 2 - i, b + 2 - j, c + 2 - k)
+                    for i, j, k in itertools.product((0, 1), repeat=3))
+        assert total == boxes, (a, b, c)
 
 
 # ------------------------------------------------------------- minor formulas

@@ -190,6 +190,14 @@ def test_raw_rows_must_be_square_and_integer():
         for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]):
             with pytest.raises(ValueError, match="square"):
                 det(rows)
+    # the constructor checks entries as from_rows does: a float or a
+    # Fraction would give a wrong determinant, and lists would not hash
+    for bad in (1.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            CountMatrix(((bad, 1), (1, 1)), (0, 1), (0, 1))
+    built = CountMatrix([[1, 2], [3, 4]], [0, 1], [0, 1])
+    assert built == CountMatrix.from_rows([[1, 2], [3, 4]])
+    assert hash(built) == hash(CountMatrix.from_rows([[1, 2], [3, 4]]))
 
 
 def test_det_known_values():
