@@ -12,9 +12,10 @@ Subcommands:
 * ``render``     write an SVG of a tiling (or the bare region)
 
 ``count``, ``propp`` and ``verify`` pick methods by ``_parse_methods``, time each
-as ``method(p, Budget(limit))`` in ``_evaluate`` and judge by ``RunReport.agree``.
-Each ``cmd_*`` returns its summary dict, text lines and verdict; ``main``
-alone prints one or the other (JSON under ``--json``) and picks the exit code.
+as ``method(p, Budget(limit))`` in ``_evaluate`` and judge by ``_agree``.
+Each ``cmd_*`` returns its summary dict, its text lines (read off that dict)
+and its verdict; ``main`` alone prints one or the other (JSON under
+``--json``) and picks the exit code.
 
 Exit codes: 0 all methods agree, 1 disagreement, 2 usage error
 (including an output file that cannot be written), 3 enumeration
@@ -32,9 +33,8 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .closedform import count_propp, count_theorem1, identity_checks
 from .exact import ExactInt, _integer
@@ -71,60 +71,16 @@ def _decimal(value: ExactInt) -> str:
     return str(Decimal(value))
 
 
-@dataclass
-class MethodResult:
+class MethodResult(NamedTuple):
     method: str
     value: ExactInt | None
     elapsed: float
     note: str = ""  # why the method was skipped, if it was
 
-    @property
-    def shown_note(self) -> str:
-        return f"skipped: {self.note}" if self.note else ""
 
-    @functools.cached_property
-    def shown_value(self) -> str | None:  # once: _decimal is quadratic
-        return None if self.value is None else _decimal(self.value)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "value": self.shown_value,
-            "elapsed": round(self.elapsed, 6),
-            "note": self.shown_note,
-        }
-
-
-@dataclass
-class RunReport:
-    """Outcome of one CLI run: per-method values plus agreement status."""
-
-    command: str
-    params: dict
-    results: list[MethodResult] = field(default_factory=list)
-
-    @property
-    def agree(self) -> bool:
-        values = {r.value for r in self.results if r.value is not None}
-        return len(values) <= 1
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "results": [r.to_dict() for r in self.results],
-            "agree": self.agree,
-            "notes": [],  # kept in the schema; no run writes a note
-        }
-
-    def lines(self) -> list[str]:
-        header = " ".join(f"{k}={v}" for k, v in self.params.items())
-        lines = [f"{self.command} {header}".rstrip()]
-        for r in self.results:
-            note = f"  [{r.shown_note}]" if r.note else ""
-            lines.append(f"  {r.method:<14} {r.shown_value or '-'}{note}"
-                         f"  ({r.elapsed:.3f}s)")
-        return lines + [f"  agree: {'yes' if self.agree else 'NO'}"]
+def _agree(results: Sequence[MethodResult]) -> bool:
+    """The one agreement rule: every method that gave a value gave the same."""
+    return len({r.value for r in results if r.value is not None}) <= 1
 
 
 METHODS: dict[str, Callable[[HexagonParams, Budget], ExactInt]] = {
@@ -198,8 +154,20 @@ def _report(args: argparse.Namespace, p: HexagonParams,
             methods: Sequence[tuple[str, Callable]], **header: int) -> Outcome:
     """Evaluate, and return the outcome of ``args.command``."""
     params = {**header, **{k: getattr(p, k) for k in "abcrst"}}
-    report = RunReport(args.command, params, _evaluate(p, methods, args.budget))
-    return report.to_dict(), report.lines(), report.agree
+    results = _evaluate(p, methods, args.budget)
+    summary = {"command": args.command, "params": params, "results": [
+        {"method": r.method,
+         "value": None if r.value is None else _decimal(r.value),
+         "elapsed": round(r.elapsed, 6),
+         "note": f"skipped: {r.note}" if r.note else ""} for r in results],
+        "agree": _agree(results), "notes": []}  # no run writes a note
+    lines = [f"{args.command} " + " ".join(f"{k}={v}" for k, v in params.items())]
+    for r, shown in zip(results, summary["results"]):  # times unrounded
+        note = f"  [{shown['note']}]" if r.note else ""
+        lines.append(f"  {r.method:<14} {shown['value'] or '-'}{note}"
+                     f"  ({r.elapsed:.3f}s)")
+    lines.append(f"  agree: {'yes' if summary['agree'] else 'NO'}")
+    return summary, lines, summary["agree"]
 
 
 def cmd_count(args: argparse.Namespace) -> Outcome:
@@ -219,7 +187,7 @@ def run_verify(max_a: int, max_b: int, max_c: int, budget: int | None = None,
                include_brute: bool = True) -> dict:
     """Run ``METHODS`` (``DEFAULT_METHODS`` without ``include_brute``) on every
     tuple with sides up to the given bounds through ``_evaluate``, judge each
-    by ``RunReport.agree``, and fold them into a summary dict.
+    by ``_agree``, and fold them into a summary dict.
 
     A brute-force method that exceeds its per-instance budget is
     recorded as skipped for that instance, not failed.
@@ -227,14 +195,12 @@ def run_verify(max_a: int, max_b: int, max_c: int, budget: int | None = None,
     methods = _parse_methods(",".join(METHODS) if include_brute else DEFAULT_METHODS)
     instances, disagreements, skipped = 0, [], []
     for instances, params in enumerate(all_params(max_a, max_b, max_c), 1):
-        report = RunReport("verify", {}, _evaluate(HexagonParams(*params),
-                                                  methods, budget))
+        results = _evaluate(HexagonParams(*params), methods, budget)
         skipped += ({"params": params, "method": r.method, "note": r.note}
-                    for r in report.results if r.value is None)
-        if not report.agree:
+                    for r in results if r.value is None)
+        if not _agree(results):
             disagreements.append({"params": params, "values": {
-                r.method: r.shown_value
-                for r in report.results if r.value is not None}})
+                r.method: _decimal(r.value) for r in results if r.value is not None}})
     return {"instances": instances, "disagreements": disagreements,
             "skipped": skipped, "ok": not disagreements}
 

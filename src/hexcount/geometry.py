@@ -312,7 +312,15 @@ class Tiling:
     leans: bytes
 
     def __init__(self, region: Region, tiles: Iterable[Tile]) -> None:
-        if (tiles := tuple(tiles)) != tuple(sorted(tiles)):
+        checked = []  # each a Tile, so plain (down, up) cell pairs will do
+        for i, tile in enumerate(tiles):
+            try:
+                down, up = tile
+            except (TypeError, ValueError):
+                raise TypeError(f"tile {i} must be a (down, up) pair, "
+                                f"got {tile!r}") from None
+            checked.append(Tile(down, up))
+        if (tiles := tuple(checked)) != tuple(sorted(tiles)):
             raise ValueError("tiles must be listed in sorted order")
         leans = bytes(_LEANS.index(tile.lean) for tile in tiles)
         if ([tile.down for tile in tiles] != list(region.down_cells)

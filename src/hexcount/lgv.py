@@ -136,8 +136,14 @@ def count_paths(start: tuple[int, int], end: tuple[int, int]) -> ExactInt:
 
     Zero when the end is not weakly right of and weakly below the start.
     """
-    (sx, sy), (ex, ey) = start, end
-    sx, sy, ex, ey = (_integer("a path coordinate", v, -math.inf) for v in (sx, sy, ex, ey))
+    coords = []
+    for name, point in (("start", start), ("end", end)):
+        try:
+            coords += LatticePoint(*point)
+        except TypeError:
+            raise TypeError(f"path {name} must be an (x, y) pair, "
+                            f"got {point!r}") from None
+    sx, sy, ex, ey = (_integer("a path coordinate", v, -math.inf) for v in coords)
     right = ex - sx
     down = sy - ey
     if right < 0 or down < 0:

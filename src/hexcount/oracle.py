@@ -253,12 +253,15 @@ class PlanePartition:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", rows := tuple(map(tuple, self.rows)))
+        rows = tuple(map(tuple, self.rows))
         if len({len(row) for row in rows}) > 1:
             raise ValueError("rows must have equal length")
+        object.__setattr__(self, "rows", rows := tuple(  # plain ints, not bools
+            tuple(_integer(f"entry ({i}, {j})", v, -math.inf) for j, v in enumerate(row))
+            for i, row in enumerate(rows)))
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                if _integer(f"entry ({i}, {j})", v, -math.inf) < 0:
+                if v < 0:
                     raise ValueError(f"negative entry at ({i}, {j})")
                 if j + 1 < len(row) and row[j + 1] > v:
                     raise ValueError(f"row {i} increases at column {j + 1}")

@@ -16,7 +16,6 @@ from hexcount.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
-    RunReport,
     MethodResult,
     main,
     run_identities,
@@ -546,13 +545,11 @@ def test_each_count_is_converted_to_decimal_once(capsys, monkeypatch):
 
 
 def test_report_agreement_logic():
-    report = RunReport("count", {"a": 0})
-    report.results.append(MethodResult("formula", 5, 0.0))
-    report.results.append(MethodResult("det", 5, 0.0))
-    report.results.append(MethodResult("brute", None, 0.0, "skipped"))
-    assert report.agree
-    report.results.append(MethodResult("brute-pp", 6, 0.0))
-    assert not report.agree
+    results = [MethodResult("formula", 5, 0.0), MethodResult("det", 5, 0.0),
+               MethodResult("brute", None, 0.0, "skipped")]
+    assert cli._agree(results)
+    results.append(MethodResult("brute-pp", 6, 0.0))
+    assert not cli._agree(results)
 
 
 # sha256 of each output with its times masked: counts, notes, skips and
@@ -598,3 +595,29 @@ def test_output_bytes_are_pinned(capsys, argv):
     out = re.sub(r"\(\d+\.\d+s\)", "(…s)", out)
     out = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', out)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv], out
+
+
+# every flag each parser declares; the layout of the help text differs
+# between Python versions, so only the names are checked, not the bytes
+HELP_FLAGS = {
+    "": ["-h", "--help", "count", "propp", "verify", "identities", "render"],
+    "count": ["-h", "--help", "--methods", "--json", "--budget"],
+    "propp": ["-h", "--help", "--json"],
+    "verify": ["-h", "--help", "--max-a", "--max-b", "--max-c", "--skip-brute",
+               "--json", "--budget"],
+    "identities": ["-h", "--help", "--bound", "--trials", "--seed", "--json"],
+    "render": ["-h", "--help", "--out", "--index", "--region-only", "--full",
+               "--budget"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_FLAGS)
+def test_help_names_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command.split(), "--help"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0 and captured.err == ""
+    named = set(re.findall(r"(?<![\w-])-{1,2}[a-z][\w-]*|\b[a-z]+\b", captured.out))
+    assert set(HELP_FLAGS[command]) <= named, captured.out
+    if command in ("propp", "identities"):
+        assert "--budget" not in captured.out

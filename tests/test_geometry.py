@@ -267,6 +267,12 @@ def test_tiling_must_partition_region():
     with pytest.raises(ValueError, match="sorted"):
         Tiling(tiling.region, tuple(reversed(tiling.tiles)))
     assert Tiling(tiling.region, iter(tiling.tiles)) == tiling
+    # plain (down, up) cell pairs build the same tiling; a non-pair is named
+    plain = [(tuple(down), tuple(up)) for down, up in tiling.tiles]
+    assert Tiling(tiling.region, plain) == tiling
+    for bad in (5, (tiling.tiles[0].down,)):
+        with pytest.raises(TypeError, match="tile 1 must be a \\(down, up\\) pair"):
+            Tiling(tiling.region, [tiling.tiles[0], bad, *tiling.tiles[2:]])
 
 
 def test_derived_tiles_are_pinned_and_rebuild_the_tiling():

@@ -116,6 +116,9 @@ def test_count_paths_rectangle():
     for start, end, bad in (((0, 0), (1.5, 0), "1.5"), ((0.0, 1), (1, 0), "0.0")):
         with pytest.raises(TypeError, match=f"a path coordinate must be an integer, got {bad}"):
             count_paths(start, end)
+    for start, end, bad in (((0, 0), (1,), "end"), ((0, 0), 5, "end"), (5, (0, 0), "start")):
+        with pytest.raises(TypeError, match=f"path {bad} must be an \\(x, y\\) pair"):
+            count_paths(start, end)
 
 
 @given(

@@ -340,6 +340,10 @@ def test_plane_partition_validation():
     listed, twin = PlanePartition([[2, 1], [1, 0]]), PlanePartition(((2, 1), (1, 0)))
     assert listed == twin and hash(listed) == hash(twin)
     assert listed.rows == ((2, 1), (1, 0)) and type(listed.rows[0]) is tuple
+    # bools are kept as the plain ints they stand for
+    flags = PlanePartition([[True, False]])
+    assert flags.to_text() == PlanePartition([[1, 0]]).to_text() == "1 0"
+    assert type(flags.rows[0][0]) is int
 
 
 def test_plane_partition_text():
