@@ -118,7 +118,15 @@ class Tile(_TileFields):
     _make = _validating_make
 
     def __new__(cls, down: TriCell, up: TriCell) -> Tile:
-        down, up = TriCell(*down), TriCell(*up)
+        cells = []
+        for name, cell in (("down", down), ("up", up)):
+            try:
+                u, v, orientation = cell
+            except (TypeError, ValueError):
+                raise TypeError(f"the {name} cell must be a (u, v, orientation) "
+                                f"triple, got {cell!r}") from None
+            cells.append(TriCell(u, v, orientation))
+        down, up = cells
         if down.orientation != DOWN or up.orientation != UP:
             raise ValueError("a tile pairs one down cell with one up cell")
         if (up.u - down.u, up.v - down.v) not in _PARTNER_OFFSETS:

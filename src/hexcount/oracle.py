@@ -9,8 +9,9 @@ search-tree node expansion spends one unit, and exceeding the budget
 raises rather than returning a partial count.  Each loop keeps its node
 count in a local, written to ``Budget.used`` before every yield or emit
 (and read back after it), on exhaustion and on the raise.  Neither
-search recurses, so neither has a depth limit: the path search keeps an
-explicit stack, the fill none.  A public constructor checks what a
+search recurses, so neither has a depth limit: the path search walks
+straight on and stacks only the down steps it defers, and the fill
+reads its row rule from a table.  A public constructor checks what a
 caller hands it; what the searches emit is valid as built, so unchecked.
 """
 
@@ -71,6 +72,13 @@ def _resolve_budget(budget: int | Budget | None) -> Budget:
     return budget if isinstance(budget, Budget) else Budget(budget)
 
 
+def _items(name: str, value: Iterable, of: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence of {of}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MonotonePath:
     """Lattice path taking steps (+1, 0) or (0, -1); may be a single point."""
@@ -78,8 +86,8 @@ class MonotonePath:
     vertices: tuple[LatticePoint, ...]
 
     def __post_init__(self) -> None:
-        vertices = []
-        for i, point in enumerate(self.vertices):
+        vertices, points = [], _items("path vertices", self.vertices, "(x, y) pairs")
+        for i, point in enumerate(points):
             try:
                 vertices.append(LatticePoint(*point))
             except TypeError:
@@ -114,7 +122,9 @@ class PathFamily:
     def __post_init__(self) -> None:
         object.__setattr__(self, "config", config := HexagonParams(*self.config))
         object.__setattr__(self, "paths", paths := tuple(
-            p if isinstance(p, MonotonePath) else MonotonePath(p) for p in self.paths))
+            p if isinstance(p, MonotonePath) else
+            MonotonePath(_items(f"path {i}", p, "(x, y) pairs"))
+            for i, p in enumerate(_items("paths", self.paths, "paths"))))
         starts, ends = config.starts, config.ends
         if len(paths) != len(starts):
             raise ValueError(f"expected {len(starts)} paths, got {len(paths)}")
@@ -167,14 +177,16 @@ def _path_search(
     budget: int | Budget | None,
     build: bool,
 ) -> Iterator[PathFamily | None]:
-    """Depth-first search on an explicit stack, with no depth limit; yields
-    each family, or None for each when ``build`` is false.  A stack entry
-    is (walk length before the vertex, path index, (x, y)), where the walk
-    holds the vertices of every path so far as (x, y) pairs; popping one
-    truncates the walk and ``occupied`` back to it.  A family is built
-    from the walk, path i being walk[first[i]:first[i+1]], only when it
-    is emitted, valid as built: each path steps right or down from its
-    start to its end, and ``occupied`` keeps the paths disjoint."""
+    """Depth-first search with no depth limit; yields each family, or None
+    for each when ``build`` is false.  The walk holds every path so far as
+    (x, y) pairs, and goes straight on: right if it can, else down, and
+    from a path's end into the next path's start.  The stack keeps only
+    the down steps passed over, as (walk length before the vertex, path
+    index, (x, y)); a dead end or a family pops one, truncating the walk
+    and ``occupied`` back to it.  A family is built from the walk, path i
+    being walk[first[i]:first[i+1]], only when it is emitted, valid as
+    built: each path steps right or down from its start to its end, and
+    ``occupied`` keeps the paths disjoint."""
     config = HexagonParams(*p)
     tracker = _resolve_budget(budget)
     starts, ends = [tuple(q) for q in config.starts], [tuple(q) for q in config.ends]
@@ -182,38 +194,42 @@ def _path_search(
     walk: list[tuple[int, int]] = []
     occupied: set[tuple[int, int]] = set()
     first = [0] * size  # walk position where each path begins
-    stack = [(0, 0, starts[0])]
-    pop, push, occupy = stack.pop, stack.append, occupied.add
-    while stack:
-        length, index, point = pop()
-        if len(walk) > length:  # backtrack
-            occupied.difference_update(walk[length:])
-            del walk[length:]
+    stack: list[tuple[int, int, tuple[int, int]]] = []
+    pop, push, step, occupy = stack.pop, stack.append, walk.append, occupied.add
+    length, index, point, (tx, ty) = 0, 0, starts[0], ends[0]
+    while True:
         if (used := used + 1) > limit:
             tracker.used = used
             raise BudgetExceededError(limit)
-        walk.append(point)
+        step(point)
         occupy(point)
         length += 1
         x, y = point
-        tx, ty = ends[index]
-        if x != tx or y != ty:
-            # pushed first, so the right step is tried first
-            if y > ty and (down := (x, y - 1)) not in occupied:
-                push((length, index, down))
-            if x < tx and (right := (x + 1, y)) not in occupied:
-                push((length, index, right))
+        if y > ty and (down := (x, y - 1)) not in occupied:
+            if x < tx and (point := (x + 1, y)) not in occupied:
+                push((length, index, down))  # right first, down later
+            else:
+                point = down
             continue
-        # the endpoint stays occupied while the remaining paths are built
-        index += 1
-        if index == size:
-            tracker.used = used
-            yield _family(config, (walk[i:j] for i, j in zip(
-                first, [*first[1:], length]))) if build else None
-            used = tracker.used
-        elif starts[index] not in occupied:
-            first[index] = length
-            push((length, index, starts[index]))
+        if x < tx and (point := (x + 1, y)) not in occupied:
+            continue
+        if x == tx and y == ty:  # the end stays occupied for the next paths
+            index += 1
+            if index == size:
+                tracker.used = used
+                yield _family(config, (walk[i:j] for i, j in zip(
+                    first, [*first[1:], length]))) if build else None
+                used = tracker.used
+            elif (point := starts[index]) not in occupied:
+                first[index] = length
+                tx, ty = ends[index]
+                continue
+        if not stack:
+            break
+        length, index, point = pop()  # backtrack
+        occupied.difference_update(walk[length:])
+        del walk[length:]
+        tx, ty = ends[index]
     tracker.used = used
 
 
@@ -253,7 +269,8 @@ class PlanePartition:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
+        rows = tuple(_items(f"row {i}", row, "entries")
+                     for i, row in enumerate(_items("rows", self.rows, "rows")))
         if len({len(row) for row in rows}) > 1:
             raise ValueError("rows must have equal length")
         object.__setattr__(self, "rows", rows := tuple(  # plain ints, not bools
@@ -272,36 +289,44 @@ class PlanePartition:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
 
-def _fill_cells(height: int, width: int, top: int,
-                row_ok: Callable[[int, int, int], bool], tracker: Budget,
+def _fill_cells(height: int, width: int, top: int, zero_from: int | None,
+                corner: int | None, tracker: Budget,
                 emit: Callable[[PlanePartition], None] | None,
                 prefix: Sequence[int] = ()) -> ExactInt:
     """Count (and optionally emit) the height x width plane partitions with
-    entries <= top whose first row starts with prefix and whose every row i
-    passes row_ok(i, first, last), given its first and last entries once
-    the row is complete.
+    entries <= top whose first row starts with prefix and, unless zero_from
+    and corner are None (the box), whose rows from zero_from on end in 0,
+    those above in a positive entry, and whose bottom-left entry is corner:
+    as a row completes, it must end in ``ends[k]``, a table kept at the
+    cell k that starts the next row (None inside a row).
 
-    The array is filled cell by cell in row-major order, each cell from its
-    cap min(above, left) down to 0, so the arrays come in lexicographically
-    decreasing order, each valid as built, every entry in 0..min(above,
-    left).  There is no stack and no recursion: a backtrack lowers the last
-    cell past the prefix that is above 0, and the cells after it are
-    re-capped on the way forward.  Each entry tried spends one unit; the
-    prefix spends none."""
+    The array is filled cell by cell in row-major order, each from its cap
+    min(above, left) down to 0, so the arrays come in lexicographically
+    decreasing order, each valid as built.  There is no stack and no
+    recursion: a backtrack lowers the last cell past the prefix that is
+    above 0 (the scan stops at the cap or prefix cell before ``start``, or
+    the sentinel cells[end] as cells[-1]), and the cells after it are
+    re-capped from ``value``, the cell last set.  Each entry tried spends
+    one unit; the prefix spends none."""
     cells = [top] * width + list(prefix)  # a row of caps above row 0
     start, end = len(cells), (height + 1) * width
-    cells += [0] * (end - start)
-    count, k = 0, start  # cells[:k] are set
+    cells += [0] * (end - start) + [1]  # cells[end], read as cells[-1], stops a scan
+    ends: list[range | None] = [None] * (end + 1)
+    ends[width::width] = [  # row i ends where row i + 1 starts, at (i + 2) * width
+        range(top + 1) if zero_from is None or i < 0 else
+        range(1) if i >= zero_from else range(1, top + 1) for i in range(-1, height)]
+    corners = range(top + 1) if corner is None else range(corner, corner + 1)
+    count, k, value = 0, start, cells[start - 1]  # cells[:k] are set, value = cells[k-1]
     used, limit = tracker.used, tracker.limit
     while True:
-        if k % width:  # inside a row: cap min(above, left)
-            cap, left = cells[k - width], cells[k - 1]
-            cells[k] = left if left < cap else cap
-        elif (ok := k == width or row_ok(k // width - 2, cells[k - width],
-                                         cells[k - 1])) and k < end:
-            cells[k] = cells[k - width]  # a row's first cell: cap above
+        if (last := ends[k]) is None:  # inside a row: cap min(above, left)
+            if (cap := cells[k - width]) < value:
+                value = cap
+            cells[k] = value
+        elif (ok := value in last) and k < end:
+            cells[k] = value = cells[k - width]  # a row's first cell: cap above
         else:
-            if ok:
+            if ok and cells[k - width] in corners:
                 count += 1
                 if emit is not None:
                     tracker.used = used
@@ -309,12 +334,12 @@ def _fill_cells(height: int, width: int, top: int,
                         tuple(cells[i:i + width]) for i in range(width, end, width))))
                     used = tracker.used
             k -= 1
-            while k >= start and not cells[k]:
+            while not cells[k]:
                 k -= 1
             if k < start:
                 tracker.used = used
                 return count
-            cells[k] -= 1
+            cells[k] = value = cells[k] - 1
         k += 1
         if (used := used + 1) > limit:
             tracker.used = used
@@ -339,7 +364,7 @@ def enumerate_plane_partitions_box(
         if emit is not None:
             emit(PlanePartition(tuple(() for _ in range(a))))
         return 1
-    return _fill_cells(a, b, c, lambda i, first, last: True, tracker, emit)
+    return _fill_cells(a, b, c, None, None, tracker, emit)
 
 
 def enumerate_constrained_pp(
@@ -359,14 +384,7 @@ def enumerate_constrained_pp(
     positive above row a+2-r and zero from it on.
     """
     a, b, c, r, s, t = HexagonParams(*p)
-    tracker = _resolve_budget(budget)
-    height, width, depth = a + 2, b + 2, c + 2
-
-    def row_ok(i: int, first: int, last: int) -> bool:
-        return (last == 0) == (i >= height - r) and (
-            i < height - 1 or first == depth - t)
-
-    # First row: a forced prefix of b+2-s maxima, then strictly below
-    # the maximum, so every free entry is capped at depth-1.
-    return _fill_cells(height, width, depth - 1, row_ok, tracker, emit,
-                       prefix=(depth,) * (width - s))
+    # First row: a forced prefix of b+2-s maxima c+2, then strictly below
+    # the maximum, so every free entry is capped at c+1.
+    return _fill_cells(a + 2, b + 2, c + 1, a + 2 - r, c + 2 - t,
+                       _resolve_budget(budget), emit, prefix=(c + 2,) * (b + 2 - s))

@@ -766,3 +766,20 @@ def test_render_vertices_on_half_grid():
         assert abs(x / sx - round(x / sx)) < 1e-4
     for y in ys:
         assert abs(y / 0.5 - round(y / 0.5)) < 1e-9
+
+
+def test_tile_names_a_malformed_cell():
+    up = TriCell(0, 0, "up")
+    with pytest.raises(TypeError, match=r"^the down cell must be a \(u, v, orientation\) "
+                                        r"triple, got 5$"):
+        Tile(5, up)
+    with pytest.raises(TypeError, match=r"^the down cell must be a \(u, v, orientation\) "
+                                        r"triple, got \(0, 0\)$"):
+        Tile((0, 0), up)
+    with pytest.raises(TypeError, match=r"^the up cell must be a \(u, v, orientation\) "
+                                        r"triple, got \(0, 0, 'up', 1\)$"):
+        Tile((0, 0, "down"), (0, 0, "up", 1))
+    # a cell of three fields keeps its own checks
+    with pytest.raises(TypeError, match="a cell coordinate must be an integer"):
+        Tile((0.5, 0, "down"), up)
+    assert Tile((0, 0, "down"), [0, 0, "up"]).lean == RISING

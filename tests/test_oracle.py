@@ -450,3 +450,65 @@ def test_plane_partition_enumeration_stops_at_budget():
     used = tracker.used
     enumerate_constrained_pp((1, 1, 1, 1, 1, 1), budget=tracker)
     assert tracker.used == 2 * used > 0
+
+
+# ---------------------------------------------------------- both oracles
+
+# sha256 of the per-tuple Budget.used of a count-only run of both oracles
+# over all_params(2, 2, 2), as "paths pp" joined by ";", taken from the
+# searches that the straight path walk and the row-rule table replaced
+SWEEP_USED_DIGEST = "3953420d4d69a72675a6daf3bc407e233af3dc3381fdfc3a6ba850d0ad10c5b5"
+
+
+def test_sweep_node_counts_are_pinned():
+    used = []
+    for params in all_params(2, 2, 2):
+        paths, pp = Budget(), Budget()
+        enumerate_path_families(params, budget=paths)
+        enumerate_constrained_pp(params, budget=pp)
+        used.append((paths.used, pp.used))
+    assert len(used) == 729
+    assert [sum(column) for column in zip(*used)] == [1360414, 3773792]
+    digest = hashlib.sha256(";".join(f"{x} {y}" for x, y in used).encode())
+    assert digest.hexdigest() == SWEEP_USED_DIGEST
+
+
+def _iterate_path_families(params, emit, budget):
+    for family in iter_path_families(params, budget=budget):
+        emit(family)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 2, 2, 2, 2), (2, 1, 1, 2, 2, 1)])
+@pytest.mark.parametrize("enumerate_fn", [
+    enumerate_path_families, _iterate_path_families, enumerate_constrained_pp,
+])
+def test_every_budget_limit_stops_on_a_prefix_of_the_stream(params, enumerate_fn):
+    # what was emitted, each with the live Budget.used when it left
+    def run(tracker, seen):
+        enumerate_fn(params, emit=lambda x: seen.append((x, tracker.used)),
+                     budget=tracker)
+
+    full = []
+    run(Budget(), full)
+    for limit in range(1, 301):
+        tracker, seen = Budget(limit), []
+        with pytest.raises(BudgetExceededError):
+            run(tracker, seen)
+        assert tracker.used == limit + 1
+        assert seen == full[:len(seen)]
+    assert seen  # the last limits stop past the first emission
+
+
+# a non-iterable argument is named, with its index inside a sequence
+@pytest.mark.parametrize("build, message", [
+    (lambda: MonotonePath(5), r"^path vertices must be a sequence of \(x, y\) pairs, got 5$"),
+    (lambda: PathFamily((1, 1, 1, 1, 1, 1), 5), r"^paths must be a sequence of paths, got 5$"),
+    (lambda: PathFamily((1, 1, 1, 1, 1, 1), [5]),
+     r"^path 0 must be a sequence of \(x, y\) pairs, got 5$"),
+    (lambda: PlanePartition(5), r"^rows must be a sequence of rows, got 5$"),
+    (lambda: PlanePartition([5]), r"^row 0 must be a sequence of entries, got 5$"),
+    (lambda: PlanePartition([[1], 5]), r"^row 1 must be a sequence of entries, got 5$"),
+], ids=["path", "family", "family-path", "partition", "partition-row", "partition-row-1"])
+def test_constructors_name_a_non_iterable_argument(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
