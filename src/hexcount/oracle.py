@@ -72,7 +72,7 @@ def _resolve_budget(budget: int | Budget | None) -> Budget:
     return budget if isinstance(budget, Budget) else Budget(budget)
 
 
-def _items(name: str, value: Iterable, of: str) -> tuple:
+def _items(name: str, value: object, of: str) -> tuple:
     try:
         return tuple(value)
     except TypeError:
@@ -304,13 +304,13 @@ def _fill_cells(height: int, width: int, top: int, zero_from: int | None,
     min(above, left) down to 0, so the arrays come in lexicographically
     decreasing order, each valid as built.  There is no stack and no
     recursion: a backtrack lowers the last cell past the prefix that is
-    above 0 (the scan stops at the cap or prefix cell before ``start``, or
-    the sentinel cells[end] as cells[-1]), and the cells after it are
-    re-capped from ``value``, the cell last set.  Each entry tried spends
-    one unit; the prefix spends none."""
+    above 0, and the cells after it are re-capped from ``value``, the cell
+    last set.  Each entry tried spends one unit; the prefix spends none."""
     cells = [top] * width + list(prefix)  # a row of caps above row 0
     start, end = len(cells), (height + 1) * width
-    cells += [0] * (end - start) + [1]  # cells[end], read as cells[-1], stops a scan
+    # a backtrack's scan stops at the nonzero cap or prefix cell before
+    # start, or else (the box with top 0) at cells[end], read as cells[-1]
+    cells += [0] * (end - start) + [1]
     ends: list[range | None] = [None] * (end + 1)
     ends[width::width] = [  # row i ends where row i + 1 starts, at (i + 2) * width
         range(top + 1) if zero_from is None or i < 0 else
