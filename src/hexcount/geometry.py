@@ -100,6 +100,16 @@ class TriCell(_CellFields):
         return tuple(LatticePoint(u + dx, v + dy) for dx, dy in _CELL_CORNERS[o])
 
 
+def _cell(name: str, cell: object) -> TriCell:
+    """The TriCell of a caller's (u, v, orientation) triple, named if malformed."""
+    try:
+        u, v, orientation = cell
+    except (TypeError, ValueError):
+        raise TypeError(f"{name} must be a (u, v, orientation) triple, "
+                        f"got {cell!r}") from None
+    return TriCell(u, v, orientation)
+
+
 _PARTNER_OFFSETS = {(1, 0): FLAT, (0, 0): RISING, (0, 1): FALLING}
 # Lean code k is _LEANS[k]: the up cell sits _OFFSETS[k] from the down cell.
 _OFFSETS = tuple(_PARTNER_OFFSETS)
@@ -118,15 +128,7 @@ class Tile(_TileFields):
     _make = _validating_make
 
     def __new__(cls, down: TriCell, up: TriCell) -> Tile:
-        cells = []
-        for name, cell in (("down", down), ("up", up)):
-            try:
-                u, v, orientation = cell
-            except (TypeError, ValueError):
-                raise TypeError(f"the {name} cell must be a (u, v, orientation) "
-                                f"triple, got {cell!r}") from None
-            cells.append(TriCell(u, v, orientation))
-        down, up = cells
+        down, up = _cell("the down cell", down), _cell("the up cell", up)
         if down.orientation != DOWN or up.orientation != UP:
             raise ValueError("a tile pairs one down cell with one up cell")
         if (up.u - down.u, up.v - down.v) not in _PARTNER_OFFSETS:
@@ -153,7 +155,8 @@ class Region:
         if self.kind not in ("notched", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
         object.__setattr__(self, "params", HexagonParams(*self.params))
-        object.__setattr__(self, "cells", frozenset(TriCell(*c) for c in self.cells))
+        object.__setattr__(self, "cells", frozenset(
+            _cell(f"cell {i}", c) for i, c in enumerate(self.cells)))
 
     @cached_property
     def down_cells(self) -> tuple[TriCell, ...]:

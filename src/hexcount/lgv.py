@@ -33,6 +33,16 @@ builders skip.  Two independent exact determinant algorithms follow:
   has settled every zero interior met on the path matrices M); any
   other such block falls back to elimination.  ``CondensationStats``
   reports the blocks evaluated and the fallbacks to elimination.
+
+Both first take the content out of the matrix: each row is divided by
+its gcd, then each column by its gcd (a zero line is left as it is), and
+the determinant is the product of those gcds times the determinant of
+what is left, det A = (prod of row gcds)(prod of column gcds) det A'.
+Every Bareiss intermediate and every condensation block is a minor, so
+each one is smaller by the gcds of its lines.  Scaling lines by nonzero
+factors keeps every minor's zero pattern, so condensation's zero-line
+rule, its fallbacks and its block count do not change.  The rows of M
+carry large common factors on the turn with the fewest paths.
 """
 
 from __future__ import annotations
@@ -232,22 +242,38 @@ def minor(
                       col_labels=tuple(matrix.col_labels[j] for j in keep_c))
 
 
-def _as_rows(matrix: CountMatrix | Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(row) for row in CountMatrix.from_rows(matrix).entries]
+def _as_rows(matrix: CountMatrix | Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(content, rows): the matrix's rows with each row's gcd, then each
+    column's, divided out, a zero line left as it is, and the product of
+    those gcds, so that det(matrix) = content * det(rows).  Each minor of
+    the rows is the matching minor of the matrix over the gcds of its
+    lines: the same zero pattern, in fewer bits."""
+    content, rows = 1, []
+    for row in CountMatrix.from_rows(matrix).entries:
+        if (g := math.gcd(*row)) > 1:
+            content *= g
+            row = [x // g for x in row]
+        rows.append(list(row))
+    for j, g in enumerate([math.gcd(*column) for column in zip(*rows)]):
+        if g > 1:
+            content *= g
+            for row in rows:
+                row[j] //= g
+    return content, rows
 
 
 def det_elimination(matrix: CountMatrix | Sequence[Sequence[int]]) -> ExactInt:
     """Exact determinant by Bareiss fraction-free elimination.
 
-    Row swaps (with sign bookkeeping) handle zero pivots; if no nonzero
-    pivot exists in a column the determinant is 0.  The 0 x 0 matrix has
-    determinant 1 (empty product).
+    The rows' and columns' gcds are taken out first and start the sign,
+    which the result is multiplied by.  Row swaps (with sign bookkeeping)
+    handle zero pivots; if no nonzero pivot exists in a column the
+    determinant is 0.  The 0 x 0 matrix has determinant 1 (empty product).
     """
-    rows = _as_rows(matrix)
+    sign, rows = _as_rows(matrix)
     n = len(rows)
     if n == 0:
         return 1
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if rows[k][k] == 0:
@@ -279,14 +305,16 @@ def det_condensation(
 ) -> ExactInt:
     """Exact determinant by condensation, bottom-up by block size.
 
-    Layer k holds the determinants of all contiguous k x k blocks, each
-    (NW * SE - NE * SW) / interior from layers k-1 and k-2.  A block with
-    a zero interior is 0 if it has a row or column that is zero inside it
-    (the zero-line rule), and is computed by elimination otherwise.
-    ``stats`` counts the blocks and those eliminations.  The CLI never passes
-    M with a > b+c (it turns p to ``fewest_paths``); the tests still do.
+    The rows' and columns' gcds are taken out first, and the result is
+    multiplied by them.  Layer k holds the determinants of all contiguous
+    k x k blocks, each (NW * SE - NE * SW) / interior from layers k-1 and
+    k-2.  A block with a zero interior is 0 if it has a row or column that
+    is zero inside it (the zero-line rule), and is computed by elimination
+    otherwise.  ``stats`` counts the blocks and those eliminations.  The
+    CLI never passes M with a > b+c (it turns p to ``fewest_paths``); the
+    tests still do.
     """
-    rows = _as_rows(matrix)
+    content, rows = _as_rows(matrix)
     n = len(rows)
     inner, outer = [[1] * (n + 1)] * (n + 1), rows  # block sizes k-2, k-1
     nz = None  # nonzeros in each row, then each column, as prefix counts
@@ -322,7 +350,7 @@ def det_condensation(
     if stats is not None:
         stats.blocks += blocks
         stats.fallbacks += fallbacks
-    return outer[0][0] if n else 1
+    return content * outer[0][0] if n else 1
 
 
 def verify_desnanot_jacobi(matrix: CountMatrix | Sequence[Sequence[int]]) -> bool:

@@ -203,6 +203,23 @@ def test_region_rejects_unknown_kind():
         TriCell(0, 0, "down")._replace(u=0.5)
 
 
+def test_region_names_a_malformed_cell():
+    p = (0, 0, 0, 1, 1, 1)
+    with pytest.raises(TypeError, match=r"^cell 0 must be a \(u, v, orientation\) "
+                                        r"triple, got 5$"):
+        Region("full", p, [5])
+    with pytest.raises(TypeError, match=r"^cell 0 must be a \(u, v, orientation\) "
+                                        r"triple, got \(0, 0\)$"):
+        Region("full", p, [(0, 0)])
+    with pytest.raises(TypeError, match=r"^cell 1 must be a \(u, v, orientation\) "
+                                        r"triple, got \(0, 0, 'up', 1\)$"):
+        Region("full", p, [(0, 0, "up"), (0, 0, "up", 1)])
+    # a cell of three fields keeps its own checks
+    with pytest.raises(TypeError, match="a cell coordinate must be an integer"):
+        Region("full", p, [(0.5, 0, "up")])
+    assert Region("full", p, [[0, 0, "up"]]).cells == {TriCell(0, 0, "up")}
+
+
 def reference_cells(a, b, c, kind):
     """The cells of the (a, b, c) hexagon, notches not yet removed, by
     testing every vertex of every candidate cell against -1 <= x <= a+b+2,

@@ -1,6 +1,7 @@
 import ast
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from hexcount.lgv import (
     CondensationStats,
     CountMatrix,
     LatticePoint,
+    _as_rows,
     build_matrix_M,
     count_paths,
     det_condensation,
@@ -320,6 +322,71 @@ def test_condensation_no_fallback_on_generic_matrix():
 def test_condensation_large_hexagon_matrix():
     m = build_matrix_M(5, 3, 4, 3, 2, 2)
     assert det_condensation(m) == det_elimination(m)
+
+
+# ------------------------------------------------------------------ content
+
+def _planted(rng):
+    """A seeded matrix of order 1..5 with negative entries, planted row and
+    column factors, and now and then a zero row or column."""
+    n = rng.randint(1, 5)
+    factors = (1, 1, 2, 3, 6, 35, -4, 2**40, 3**25)
+    row_f = [rng.choice(factors) for _ in range(n)]
+    col_f = [rng.choice(factors) for _ in range(n)]
+    rows = [[rng.randint(-9, 9) * f * g for g in col_f] for f in row_f]
+    if rng.random() < 0.3:
+        rows[rng.randrange(n)] = [0] * n
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def test_determinants_of_matrices_with_planted_content():
+    rng = random.Random(34)
+    for _ in range(400):
+        rows = _planted(rng)
+        expected = det_leibniz(rows)
+        assert det_elimination(rows) == expected, rows
+        assert det_condensation(rows) == expected, rows
+
+
+def test_content_pass_leaves_lines_without_common_factors():
+    rng = random.Random(35)
+    for _ in range(400):
+        rows = _planted(rng)
+        copy = [row[:] for row in rows]
+        content, reduced = _as_rows(rows)
+        assert rows == copy  # the caller's rows are not touched
+        for line in (*reduced, *zip(*reduced)):
+            assert math.gcd(*line) in (0, 1), (rows, reduced)
+        assert [[x != 0 for x in row] for row in reduced] == \
+            [[x != 0 for x in row] for row in rows]
+        assert content * det_leibniz(reduced) == det_leibniz(rows), rows
+
+
+def test_content_of_empty_and_single_entry_matrices():
+    assert det_elimination([]) == det_condensation([]) == 1
+    assert _as_rows([]) == (1, [])
+    for x in (0, 1, -1, 7, -12, 3**50, -(2**70)):
+        assert det_elimination([[x]]) == det_condensation([[x]]) == x
+    assert _as_rows([[-12]]) == (12, [[-1]])
+    assert _as_rows([[0]]) == (1, [[0]])
+
+
+def test_content_pass_keeps_the_condensation_stats():
+    # the zero-interior matrix and a copy with scaled rows and columns make
+    # the same blocks and fallbacks, and the copy's determinant is scaled
+    rows = [[1, 2, 3], [4, 0, 5], [6, 7, 8]]
+    row_f, col_f = (6, -10, 2**35), (3**20, 7, -1)
+    scaled = [[x * f * g for x, g in zip(row, col_f)] for row, f in zip(rows, row_f)]
+    counts = []
+    for matrix, factor in ((rows, 1), (scaled, math.prod(row_f) * math.prod(col_f))):
+        stats = CondensationStats()
+        assert det_condensation(matrix, stats) == factor * det_leibniz(rows)
+        counts.append((stats.blocks, stats.fallbacks))
+    assert counts[0] == counts[1] == (14, 1)
 
 
 # ----------------------------------------------------------------- identity
