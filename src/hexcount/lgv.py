@@ -34,15 +34,12 @@ builders skip.  Two independent exact determinant algorithms follow:
   other such block falls back to elimination.  ``CondensationStats``
   reports the blocks evaluated and the fallbacks to elimination.
 
-Both first take the content out of the matrix: each row is divided by
-its gcd, then each column by its gcd (a zero line is left as it is), and
-the determinant is the product of those gcds times the determinant of
-what is left, det A = (prod of row gcds)(prod of column gcds) det A'.
-Every Bareiss intermediate and every condensation block is a minor, so
-each one is smaller by the gcds of its lines.  Scaling lines by nonzero
-factors keeps every minor's zero pattern, so condensation's zero-line
-rule, its fallbacks and its block count do not change.  The rows of M
-carry large common factors on the turn with the fewest paths.
+Both first take the content out: each row is divided by its gcd, then
+each column by its gcd (a zero line is left as it is), and the result is
+multiplied by those gcds.  Every Bareiss intermediate and every
+condensation block is a minor, so each is smaller by the gcds of its
+lines and keeps its zero pattern: the zero-line rule, the fallbacks and
+the block count do not change.
 """
 
 from __future__ import annotations
@@ -242,12 +239,12 @@ def minor(
                       col_labels=tuple(matrix.col_labels[j] for j in keep_c))
 
 
-def _as_rows(matrix: CountMatrix | Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(content, rows): the matrix's rows with each row's gcd, then each
-    column's, divided out, a zero line left as it is, and the product of
-    those gcds, so that det(matrix) = content * det(rows).  Each minor of
-    the rows is the matching minor of the matrix over the gcds of its
-    lines: the same zero pattern, in fewer bits."""
+def _as_rows(
+    matrix: CountMatrix | Sequence[Sequence[int]],
+) -> tuple[int, list[list[int]]]:
+    """(content, rows): the rows with each row's gcd, then each column's,
+    divided out (a zero line left as it is), and the product of those
+    gcds, so that det(matrix) = content * det(rows)."""
     content, rows = 1, []
     for row in CountMatrix.from_rows(matrix).entries:
         if (g := math.gcd(*row)) > 1:
