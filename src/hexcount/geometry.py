@@ -25,7 +25,9 @@ cells (0 flat, 1 rising, 2 falling) and derives its tiles on demand;
 both constructors check the codes by one set test of integer partner
 keys.  The bijections, extension and renderer work on the codes alone,
 through one per-column table of the down cells, (lowest, highest,
-base), that gives a down cell's index as base + height.
+base), that gives a down cell's index as base + height; the bijections
+read and write a path family as its walks of (x, y) pairs, so a round
+trip builds no path or vertex object.
 
 A region's cells are built column by column by integer inequalities on
 each candidate cell's (u, v); its sorted down cells, column table and
@@ -59,12 +61,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import pairwise
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import _integer
 from .lgv import HexagonParams, LatticePoint, _unchecked, _validating_make
-from .oracle import PathFamily, PlanePartition, _family
+from .oracle import PathFamily, PlanePartition, _family, _items
 
 UP = "up"
 DOWN = "down"
@@ -155,8 +157,9 @@ class Region:
         if self.kind not in ("notched", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
         object.__setattr__(self, "params", HexagonParams(*self.params))
+        cells = _items("cells", self.cells, "cells")
         object.__setattr__(self, "cells", frozenset(
-            _cell(f"cell {i}", c) for i, c in enumerate(self.cells)))
+            _cell(f"cell {i}", c) for i, c in enumerate(cells)))
 
     @cached_property
     def down_cells(self) -> tuple[TriCell, ...]:
@@ -166,12 +169,17 @@ class Region:
 
     @cached_property
     def _keys(self) -> tuple[int, tuple[int, ...], frozenset[int]]:
-        """(k, each down cell's key u*k + v, the up cells' keys); k is 2 more
-        than the span of v over the cells and notches, so no key aliases."""
-        vs = [v for _, v, _ in (*self.cells, *notch_cells(self.params))]
+        """(k, each down cell's key u*k + v, the up cells' keys), each cell
+        keyed in one pass; k is 2 more than the span of v over the cells
+        and notches, so no two of them, nor a down cell's partner and an up
+        cell, share a key, and sorted keys are in down_cells' order."""
+        vs = {v for _, v, _ in notch_cells(self.params)}
+        vs.update(map(itemgetter(1), self.cells))
         k = max(vs) - min(vs) + 2
-        return (k, tuple(u * k + v for u, v, _ in self.down_cells),
-                frozenset(u * k + v for u, v, o in self.cells if o == UP))
+        keys: dict[str, list[int]] = {DOWN: [], UP: []}
+        for u, v, o in self.cells:
+            keys[o].append(u * k + v)
+        return k, tuple(sorted(keys[DOWN])), frozenset(keys[UP])
 
     @cached_property
     def _polygons(self) -> list[str | None]:
@@ -262,9 +270,9 @@ def _shape(a: int, b: int, c: int, kind: str) -> dict[str, object]:
     # 0 up and 1 down, which bound v.  Cells and region are built
     # unchecked: orientation and kind are literal.  The region's own
     # properties derive the rest with r = s = t = 1: _tables reads only
-    # c, and the cells hold every notch of every (r, s, t), so _keys' span
-    # is theirs.  The full hexagon keeps its notches: its frame and lines
-    # are the shape's too.
+    # c, and the cells hold every notch of every (r, s, t), so a notch's
+    # key is a cell's.  The full hexagon keeps its notches: its frame and
+    # lines are the shape's too.
     step = 1 if kind == "full" else 0
     x_lo, y_lo, sum_hi = -1 - step, -b - c - 3 - step, a - 1 + step
     cells = frozenset([tuple.__new__(TriCell, (u, v, o)) for u in range(x_lo, a + b + 2)
@@ -323,8 +331,10 @@ class Tiling:
     leans: bytes
 
     def __init__(self, region: Region, tiles: Iterable[Tile]) -> None:
+        if not isinstance(region, Region):
+            raise TypeError(f"region must be a Region, got {region!r}")
         checked = []  # each a Tile, so plain (down, up) cell pairs will do
-        for i, tile in enumerate(tiles):
+        for i, tile in enumerate(_items("tiles", tiles, "tiles")):
             try:
                 down, up = tile
             except (TypeError, ValueError):
@@ -371,10 +381,11 @@ def _lay_tiles(region: Region,
 
 def paths_to_tiling(family: PathFamily) -> Tiling:
     """Tiling of the working region encoded by a nonintersecting family:
-    the path-step rule (_lay_tiles) along its paths."""
+    the path-step rule (_lay_tiles) along its walks."""
+    if not isinstance(family, PathFamily):
+        raise TypeError(f"family must be a PathFamily, got {family!r}")
     region = _build_region_cached(family.config, "notched")
-    return Tiling._from_leans(region, _lay_tiles(
-        region, (path.vertices for path in family.paths)))
+    return Tiling._from_leans(region, _lay_tiles(region, family._walks))
 
 
 def _trace_paths(
@@ -404,6 +415,8 @@ def _trace_paths(
 def tiling_to_paths(tiling: Tiling) -> PathFamily:
     """Inverse of paths_to_tiling.  Requires a working-region tiling.  The
     family is valid as traced (see _trace_paths), so built unchecked."""
+    if not isinstance(tiling, Tiling):
+        raise TypeError(f"tiling must be a Tiling, got {tiling!r}")
     if tiling.region.kind != "notched":
         raise ValueError("path extraction needs a working-region tiling")
     region = tiling.region

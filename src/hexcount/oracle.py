@@ -13,6 +13,10 @@ search recurses, so neither has a depth limit: the path search walks
 straight on and stacks only the down steps it defers, and the fill
 reads its row rule from a table.  A public constructor checks what a
 caller hands it; what the searches emit is valid as built, so unchecked.
+A path family holds its walks, each path's vertices as (x, y) pairs; a
+producer's family (the path search's, or ``tiling_to_paths``') holds its
+config and walks alone, and builds its ``MonotonePath``s and their
+``LatticePoint``s only if a caller reads ``paths``.
 """
 
 from __future__ import annotations
@@ -112,9 +116,15 @@ class MonotonePath:
         return self.vertices[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathFamily:
-    """One family of pairwise vertex-disjoint paths, path i from P_i to Q_i."""
+    """One family of pairwise vertex-disjoint paths, path i from P_i to Q_i.
+
+    A family holds its walks, path i's vertices as (x, y) pairs, and is
+    equal to and hashes like any family with the same config and walks.
+    The public constructor checks the paths and keeps their walks; a
+    producer's family holds its config and walks alone, and makes its
+    ``paths`` (of ``LatticePoint`` vertices) on first read and keeps them."""
 
     config: HexagonParams
     paths: tuple[MonotonePath, ...]
@@ -140,11 +150,29 @@ class PathFamily:
                 if v in seen:
                     raise ValueError(f"paths intersect at {v}")
                 seen.add(v)
+        object.__setattr__(self, "_walks", tuple(path.vertices for path in paths))
+
+    def __getattr__(self, name: str) -> tuple[MonotonePath, ...]:
+        if name != "paths":  # only a producer's family lacks a field: its paths
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self)["paths"] = paths = tuple(
+            _unchecked(MonotonePath, vertices=tuple(map(_point, walk))) for walk in self._walks)
+        return paths
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.config == other.config and self._walks == other._walks
+
+    def __hash__(self) -> int:
+        return hash((self.config, self._walks))
 
 
 def family_to_line(family: PathFamily) -> str:
     """One-line text form: paths joined by ';', vertices by ',',
     coordinates by a space."""
+    if not isinstance(family, PathFamily):
+        raise TypeError(f"family must be a PathFamily, got {family!r}")
     return ";".join(
         ",".join(f"{v.x} {v.y}" for v in path.vertices) for path in family.paths
     )
@@ -167,9 +195,9 @@ def parse_family_line(line: str, config: HexagonParams | Sequence[int]) -> PathF
 
 def _family(config: HexagonParams,
             walks: Iterable[Sequence[tuple[int, int]]]) -> PathFamily:
-    """The producers' one way to make a family, unchecked: path i from walks[i]."""
-    return _unchecked(PathFamily, config=config, paths=tuple(
-        _unchecked(MonotonePath, vertices=tuple(map(_point, walk))) for walk in walks))
+    """The producers' one way to make a family, unchecked: path i walks
+    walks[i], kept as a tuple of (x, y) pairs; its paths wait for a reader."""
+    return _unchecked(PathFamily, config=config, _walks=tuple(map(tuple, walks)))
 
 
 def _path_search(

@@ -1,7 +1,10 @@
+import copy
+import dataclasses
 import gc
 import hashlib
 import itertools
 import math
+import pickle
 import re
 import weakref
 from fractions import Fraction
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexcount.closedform import HexagonParams, all_params, count_theorem1
-from hexcount import geometry
+from hexcount import geometry, oracle
 from hexcount.geometry import (
     _QUAD_CORNERS,
     FALLING,
@@ -37,6 +40,7 @@ from hexcount.oracle import (
     PlanePartition,
     enumerate_constrained_pp,
     enumerate_path_families,
+    family_to_line,
     iter_path_families,
 )
 
@@ -589,6 +593,116 @@ def test_every_producer_output_passes_the_public_checks():
             tilings += 1
         enumerate_constrained_pp(p, emit=check_pp)
     assert tilings == 930
+
+
+def public_twin(family):
+    """The family rebuilt through the public constructor from plain pairs."""
+    return PathFamily(family.config,
+                      [[tuple(v) for v in path.vertices] for path in family.paths])
+
+
+def emitted_and_traced(p):
+    """Each family of p as the search emits it and as tiling_to_paths
+    traces it back, both unread."""
+    return [(family, tiling_to_paths(paths_to_tiling(family)))
+            for family in iter_path_families(p)]
+
+
+def test_producer_families_equal_their_public_twins():
+    # a family from the search or from tiling_to_paths equals, both ways,
+    # the public family with the same paths and hashes like it, and no
+    # other; equality is by config and walks, so the same walks under
+    # another config make another family
+    families = 0
+    for p in all_params(1, 1, 1):
+        twins = [public_twin(family) for family in iter_path_families(p)]
+        for i, pair in enumerate(emitted_and_traced(p)):
+            for family in pair:
+                assert family == twins[i] and twins[i] == family
+                assert hash(family) == hash(twins[i])
+                assert all(family != twin for j, twin in enumerate(twins) if j != i)
+            families += 1
+        assert len(set(twins) | {f for pair in emitted_and_traced(p) for f in pair}) \
+            == len(twins)
+    assert families == 930
+    family = next(iter_path_families((1, 1, 1, 1, 1, 1)))
+    moved = oracle._family(HexagonParams(1, 1, 1, 1, 1, 2), family._walks)
+    assert moved != family and family != moved
+
+
+def test_a_family_never_equals_a_tuple():
+    family, back = emitted_and_traced((2, 1, 1, 2, 2, 1))[0]
+    twin = public_twin(family)
+    for f in (family, back, twin):
+        for other in ((f.config, f._walks), f._walks, tuple(f.paths),
+                      (f.config, f.paths)):
+            assert f != other and other != f
+            assert f.__eq__(other) is NotImplemented
+
+
+def test_family_paths_are_made_once_as_public_types():
+    for family in emitted_and_traced((2, 1, 1, 2, 2, 1))[5]:
+        assert "paths" not in vars(family)
+        paths = family.paths
+        assert family.paths is paths and vars(family)["paths"] is paths
+        assert type(paths) is tuple and all(type(path) is MonotonePath for path in paths)
+        assert all(type(v) is LatticePoint for path in paths for v in path.vertices)
+        assert family == public_twin(family)
+
+
+def test_unread_families_copy_and_pickle_equal():
+    for family in emitted_and_traced((2, 1, 1, 2, 2, 1))[7]:
+        copies = [copy.copy(family), copy.deepcopy(family),
+                  pickle.loads(pickle.dumps(family))]
+        assert "paths" not in vars(family)
+        for twin in copies:
+            assert type(twin) is PathFamily and twin == family and hash(twin) == hash(family)
+            assert twin.paths == public_twin(family).paths
+
+
+def test_replace_checks_the_family():
+    family = next(iter_path_families((2, 1, 1, 2, 2, 1)))
+    assert dataclasses.replace(family) == family
+    with pytest.raises(ValueError, match="starts at"):
+        dataclasses.replace(family, config=HexagonParams(2, 1, 1, 2, 2, 2))
+    with pytest.raises(ValueError, match="expected 4 paths"):
+        dataclasses.replace(family, paths=family.paths[:-1])
+
+
+def test_the_round_trip_makes_no_paths():
+    # paths -> tiling -> paths reads the walks alone: neither family
+    # makes its paths
+    for p in all_params(1, 1, 1):
+        for family, back in emitted_and_traced(p):
+            assert back == family
+            assert "paths" not in vars(family) and "paths" not in vars(back)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: paths_to_tiling(5), r"^family must be a PathFamily, got 5$"),
+    (lambda: paths_to_tiling([[(0, 1), (0, 0)]]),
+     r"^family must be a PathFamily, got \[\[\(0, 1\), \(0, 0\)\]\]$"),
+    (lambda: tiling_to_paths(5), r"^tiling must be a Tiling, got 5$"),
+    (lambda: tiling_to_paths(build_region((1, 1, 1, 1, 1, 1))),
+     r"^tiling must be a Tiling, got Region\("),
+    (lambda: family_to_line(5), r"^family must be a PathFamily, got 5$"),
+    (lambda: family_to_line("0 1,0 0"), r"^family must be a PathFamily, got '0 1,0 0'$"),
+], ids=["to-tiling", "to-tiling-list", "to-paths", "to-paths-region", "line", "line-str"])
+def test_bijections_name_an_argument_of_the_wrong_type(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Tiling(build_region((1, 1, 1, 1, 1, 1)), 5),
+     r"^tiles must be a sequence of tiles, got 5$"),
+    (lambda: Tiling(5, []), r"^region must be a Region, got 5$"),
+    (lambda: Tiling("x", []), r"^region must be a Region, got 'x'$"),
+    (lambda: Region("full", (0, 0, 0, 1, 1, 1), 5), r"^cells must be a sequence of cells, got 5$"),
+], ids=["tiles", "region-int", "region-str", "cells"])
+def test_tiling_and_region_name_a_bad_argument(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 @given(
