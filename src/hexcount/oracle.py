@@ -152,13 +152,6 @@ class PathFamily:
                 seen.add(v)
         object.__setattr__(self, "_walks", tuple(path.vertices for path in paths))
 
-    def __getattr__(self, name: str) -> tuple[MonotonePath, ...]:
-        if name != "paths":  # only a producer's family lacks a field: its paths
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        vars(self)["paths"] = paths = tuple(
-            _unchecked(MonotonePath, vertices=tuple(map(_point, walk))) for walk in self._walks)
-        return paths
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -166,6 +159,22 @@ class PathFamily:
 
     def __hash__(self) -> int:
         return hash((self.config, self._walks))
+
+
+class _Paths:
+    """``PathFamily.paths`` of a producer's family: made on first read and
+    kept in the instance, whose own ``paths`` this non-data descriptor
+    never shadows, so a public family reads the paths it checked."""
+
+    def __get__(self, family: PathFamily | None, owner: type | None = None) -> object:
+        if family is None:
+            return self
+        vars(family)["paths"] = paths = tuple(
+            _unchecked(MonotonePath, vertices=tuple(map(_point, walk))) for walk in family._walks)
+        return paths
+
+
+PathFamily.paths = _Paths()  # set after @dataclass, which would take it for a default
 
 
 def family_to_line(family: PathFamily) -> str:
