@@ -616,14 +616,14 @@ def test_producer_families_equal_their_public_twins():
     families = 0
     for p in all_params(1, 1, 1):
         twins = [public_twin(family) for family in iter_path_families(p)]
-        for i, pair in enumerate(emitted_and_traced(p)):
+        pairs = emitted_and_traced(p)
+        for i, pair in enumerate(pairs):
             for family in pair:
                 assert family == twins[i] and twins[i] == family
                 assert hash(family) == hash(twins[i])
                 assert all(family != twin for j, twin in enumerate(twins) if j != i)
             families += 1
-        assert len(set(twins) | {f for pair in emitted_and_traced(p) for f in pair}) \
-            == len(twins)
+        assert len(set(twins) | {f for pair in pairs for f in pair}) == len(twins)
     assert families == 930
     family = next(iter_path_families((1, 1, 1, 1, 1, 1)))
     moved = oracle._family(HexagonParams(1, 1, 1, 1, 1, 2), family._walks)
