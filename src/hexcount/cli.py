@@ -45,8 +45,8 @@ from .geometry import (
     paths_to_tiling,
     render_svg,
 )
-from .lgv import HexagonParams, all_params, build_matrix_M, det_condensation, \
-    det_elimination
+from .lgv import HexagonParams, _params, all_params, build_matrix_M, \
+    det_condensation, det_elimination
 from .oracle import (
     DEFAULT_BUDGET,
     Budget,
@@ -195,7 +195,7 @@ def run_verify(max_a: int, max_b: int, max_c: int, budget: int | None = None,
     methods = _parse_methods(",".join(METHODS) if include_brute else DEFAULT_METHODS)
     instances, disagreements, skipped = 0, [], []
     for instances, params in enumerate(all_params(max_a, max_b, max_c), 1):
-        results = _evaluate(HexagonParams(*params), methods, budget)
+        results = _evaluate(_params(params), methods, budget)
         skipped += ({"params": params, "method": r.method, "note": r.note}
                     for r in results if r.value is None)
         if not _agree(results):

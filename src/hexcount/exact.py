@@ -10,8 +10,9 @@ though no package code calls it).  ``Exponents`` evaluates products and
 quotients of factorials, superfactorials and rising factorials of
 positive integers without forming any of them, recording each in O(1)
 and multiplying out once, over primes.  Nothing here caches.
-``_integer`` is the package's one integer rule, here at the bottom of
-the import graph so that every module can use it.
+``_integer`` is the package's one integer rule and ``_items`` its one
+shape rule, here at the bottom of the import graph so that every module
+can use them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ def _integer(name: str, value: int, lo: float, hi: int | None = None) -> int:
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def _items(name: str, value: object, form: str, length: int | None = None) -> tuple:
+    """The items of an iterable as a tuple, exactly ``length`` of them if
+    given; anything else raises ``TypeError``, naming it and the form."""
+    try:
+        items = tuple(value)
+        if length is None or len(items) == length:
+            return items
+    except TypeError:
+        pass
+    raise TypeError(f"{name} must be {form}, got {value!r}")
 
 
 class Exponents:

@@ -64,9 +64,9 @@ from itertools import pairwise
 from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import _integer
-from .lgv import HexagonParams, LatticePoint, _unchecked, _validating_make
-from .oracle import PathFamily, PlanePartition, _family, _items
+from .exact import _integer, _items
+from .lgv import HexagonParams, LatticePoint, _params, _unchecked, _validating_make
+from .oracle import PathFamily, PlanePartition, _family
 
 UP = "up"
 DOWN = "down"
@@ -104,12 +104,7 @@ class TriCell(_CellFields):
 
 def _cell(name: str, cell: object) -> TriCell:
     """The TriCell of a caller's (u, v, orientation) triple, named if malformed."""
-    try:
-        u, v, orientation = cell
-    except (TypeError, ValueError):
-        raise TypeError(f"{name} must be a (u, v, orientation) triple, "
-                        f"got {cell!r}") from None
-    return TriCell(u, v, orientation)
+    return TriCell(*_items(name, cell, "a (u, v, orientation) triple", 3))
 
 
 _PARTNER_OFFSETS = {(1, 0): FLAT, (0, 0): RISING, (0, 1): FALLING}
@@ -147,7 +142,7 @@ class Tile(_TileFields):
 class Region:
     """A finite set of lattice cells, either the working ('notched')
     region or the full hexagon.  A caller's params and cells are checked,
-    and kept as the cache's HexagonParams and a frozenset of TriCells."""
+    and kept as a HexagonParams (its own, if given) and a frozenset of TriCells."""
 
     kind: str
     params: HexagonParams
@@ -156,8 +151,8 @@ class Region:
     def __post_init__(self) -> None:
         if self.kind not in ("notched", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
-        object.__setattr__(self, "params", HexagonParams(*self.params))
-        cells = _items("cells", self.cells, "cells")
+        object.__setattr__(self, "params", _params(self.params))
+        cells = _items("cells", self.cells, "a sequence of cells")
         object.__setattr__(self, "cells", frozenset(
             _cell(f"cell {i}", c) for i, c in enumerate(cells)))
 
@@ -254,7 +249,7 @@ def notch_cells(p: HexagonParams | Sequence[int]) -> tuple[TriCell, TriCell, Tri
     the s notch on the upper-right long side, s cells from the top; the
     r notch on the bottom side, r cells from the left.
     """
-    a, b, c, r, s, t = HexagonParams(*p)  # checked ints: the cells are valid as built
+    a, b, c, r, s, t = _params(p)  # checked ints: the cells are valid as built
     return tuple([tuple.__new__(TriCell, (u, v, UP)) for u, v in (
         (-1, -t - 1), (a + b + 1 - s, s - b - 3), (b + r - 1, -b - c - 3))])
 
@@ -301,12 +296,12 @@ def _build_region_cached(p: HexagonParams, kind: str) -> Region:
 
 def build_region(p: HexagonParams | Sequence[int]) -> Region:
     """The working region: the notched hexagon that the path families tile."""
-    return _build_region_cached(HexagonParams(*p), "notched")
+    return _build_region_cached(_params(p), "notched")
 
 
 def build_full_region(p: HexagonParams | Sequence[int]) -> Region:
     """The full a+2, c+2, b+2, a+2, c+2, b+2 hexagon."""
-    return _build_region_cached(HexagonParams(*p), "full")
+    return _build_region_cached(_params(p), "full")
 
 
 def _partitions(region: Region, leans: bytes | bytearray) -> bool:
@@ -333,15 +328,9 @@ class Tiling:
     def __init__(self, region: Region, tiles: Iterable[Tile]) -> None:
         if not isinstance(region, Region):
             raise TypeError(f"region must be a Region, got {region!r}")
-        checked = []  # each a Tile, so plain (down, up) cell pairs will do
-        for i, tile in enumerate(_items("tiles", tiles, "tiles")):
-            try:
-                down, up = tile
-            except (TypeError, ValueError):
-                raise TypeError(f"tile {i} must be a (down, up) pair, "
-                                f"got {tile!r}") from None
-            checked.append(Tile(down, up))
-        if (tiles := tuple(checked)) != tuple(sorted(tiles)):
+        tiles = tuple(Tile(*_items(f"tile {i}", tile, "a (down, up) pair", 2)) for i, tile
+                      in enumerate(_items("tiles", tiles, "a sequence of tiles")))
+        if tiles != tuple(sorted(tiles)):
             raise ValueError("tiles must be listed in sorted order")
         leans = bytes(_LEANS.index(tile.lean) for tile in tiles)
         if ([tile.down for tile in tiles] != list(region.down_cells)
@@ -412,14 +401,20 @@ def _trace_paths(
     return paths
 
 
+def _region_of(tiling: Tiling, kind: str, needs: str) -> Region:
+    """The region of a ``Tiling`` of this kind; of another, ``ValueError(needs)``."""
+    if not isinstance(tiling, Tiling):
+        raise TypeError(f"tiling must be a Tiling, got {tiling!r}")
+    if tiling.region.kind != kind:
+        raise ValueError(needs)
+    return tiling.region
+
+
 def tiling_to_paths(tiling: Tiling) -> PathFamily:
     """Inverse of paths_to_tiling.  Requires a working-region tiling.  The
     family is valid as traced (see _trace_paths), so built unchecked."""
-    if not isinstance(tiling, Tiling):
-        raise TypeError(f"tiling must be a Tiling, got {tiling!r}")
-    if tiling.region.kind != "notched":
-        raise ValueError("path extraction needs a working-region tiling")
-    region = tiling.region
+    region = _region_of(tiling, "notched",
+                        "path extraction needs a working-region tiling")
     return _family(region.params, _trace_paths(tiling, region._endpoints))
 
 
@@ -431,9 +426,8 @@ def extend_to_full_hexagon(tiling: Tiling) -> Tiling:
     the tiles on the notch cells are the fixed border tiles.  The working
     codes are copied into that template column by column, with no sort.
     """
-    if tiling.region.kind != "notched":
-        raise ValueError("extension needs a working-region tiling")
-    full = _build_region_cached(tiling.region.params, "full")
+    region = _region_of(tiling, "notched", "extension needs a working-region tiling")
+    full = _build_region_cached(region.params, "full")
     template, spans = full._border
     leans = bytearray(template)
     for start, stop, to in spans:
@@ -449,10 +443,8 @@ def tiling_to_plane_partition(tiling: Tiling) -> PlanePartition:
     (k-1, c+k+2) to (b+1+k, k)), the working paths lengthened by the
     border walks; entry j of row a+1-k is the height of path k during
     its (j+1)-th right step, minus k: valid, as the paths are disjoint."""
-    if tiling.region.kind != "full":
-        raise ValueError("plane-partition extraction needs a full-hexagon "
-                         "tiling; see extend_to_full_hexagon")
-    a, b, c = tiling.region.params[:3]
+    a, b, c = _region_of(tiling, "full", "plane-partition extraction needs a "
+                         "full-hexagon tiling; see extend_to_full_hexagon").params[:3]
     paths = _trace_paths(tiling, (((k - 1, c + k + 2), (b + 1 + k, k))
                                   for k in range(a + 2)))
     rows = [tuple(y - k for (x, y), (nx, _) in pairwise(path) if nx == x + 1)
@@ -499,6 +491,8 @@ def render_svg(target: Tiling | Region) -> str:
     it (Region._polygons); a bare region's are not.
     """
     region = target.region if isinstance(target, Tiling) else target
+    if not isinstance(region, Region):
+        raise TypeError(f"target must be a Tiling or a Region, got {target!r}")
     header, xt, ht = region._svg_frame
     if region is target:  # a bare region: one polygon per cell, formatted per call
         lines = [_polygon(xt, ht, u, 2 * v + u, *_CELLS[o])

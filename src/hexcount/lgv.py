@@ -8,9 +8,10 @@ matrix whose (i, j) entry counts the paths from start i to end j.
 The parameter domain is stated here once, for every route:
 ``HexagonParams``, the one domain check, a 6-tuple validated when it is
 built, with its path endpoints ``starts`` and ``ends`` and its turn with
-the fewest paths, ``fewest_paths``; and ``all_params`` up to given
-sides.  Parameters are plain ints, checked by ``exact._integer`` (a
-float raises ``TypeError``).  This module also builds the count matrix.
+the fewest paths, ``fewest_paths``; ``_params``, the one way an entry
+point takes a parameter tuple; and ``all_params`` up to given sides.
+Parameters are plain ints, checked by ``exact._integer`` (a float
+raises ``TypeError``).  This module also builds the count matrix.
 Every matrix argument goes through ``CountMatrix.from_rows``; the constructor
 is the one check (integer entries, square shape), which this module's own
 builders skip.  Two independent exact determinant algorithms follow:
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import ExactInt, _integer, binomial
+from .exact import ExactInt, _integer, _items, binomial
 
 
 class LatticePoint(NamedTuple):
@@ -127,6 +128,13 @@ class HexagonParams(_ParamFields):
         return tuple.__new__(HexagonParams, min(turns, key=operator.itemgetter(0)))
 
 
+def _params(p: HexagonParams | Sequence[int]) -> HexagonParams:
+    """An entry point's p, checked; a ``HexagonParams`` is valid as built, so kept."""
+    if isinstance(p, HexagonParams):
+        return p
+    return HexagonParams._make(_items("params", p, "an (a, b, c, r, s, t) tuple", 6))
+
+
 def all_params(max_a: int, max_b: int, max_c: int) -> Iterator[tuple[int, ...]]:
     """Every valid (a, b, c, r, s, t) with sides up to the given bounds,
     as plain tuples in lexicographic order."""
@@ -143,13 +151,8 @@ def count_paths(start: tuple[int, int], end: tuple[int, int]) -> ExactInt:
 
     Zero when the end is not weakly right of and weakly below the start.
     """
-    coords = []
-    for name, point in (("start", start), ("end", end)):
-        try:
-            coords += LatticePoint(*point)
-        except TypeError:
-            raise TypeError(f"path {name} must be an (x, y) pair, "
-                            f"got {point!r}") from None
+    coords = (*_items("path start", start, "an (x, y) pair", 2),
+              *_items("path end", end, "an (x, y) pair", 2))
     sx, sy, ex, ey = (_integer("a path coordinate", v, -math.inf) for v in coords)
     right = ex - sx
     down = sy - ey
@@ -173,8 +176,11 @@ class CountMatrix:
     col_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(map(operator.index, row)) for row in self.entries)
-        rows, cols = tuple(self.row_labels), tuple(self.col_labels)
+        entries = tuple(
+            tuple(map(operator.index, _items(f"row {i}", row, "a sequence of integers")))
+            for i, row in enumerate(_items("entries", self.entries, "a sequence of rows")))
+        rows = _items("row_labels", self.row_labels, "a sequence of labels")
+        cols = _items("col_labels", self.col_labels, "a sequence of labels")
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
@@ -189,6 +195,7 @@ class CountMatrix:
         """The matrix of raw rows, labelled 0..n-1 (a ``CountMatrix`` as is)."""
         if isinstance(rows, cls):
             return rows
+        rows = _items("matrix", rows, "a CountMatrix or a sequence of rows")
         return cls(rows, range(len(rows)), range(len(rows)))
 
 
@@ -221,8 +228,8 @@ def minor(
     must stay square.
     """
     matrix = CountMatrix.from_rows(matrix)
-    dr = set(delete_rows)
-    dc = set(delete_cols)
+    dr = set(_items("delete_rows", delete_rows, "a sequence of labels"))
+    dc = set(_items("delete_cols", delete_cols, "a sequence of labels"))
     missing = dr - set(matrix.row_labels)
     if missing:
         raise ValueError(f"unknown row labels: {sorted(missing)}")

@@ -26,8 +26,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import ExactInt, _integer
-from .lgv import HexagonParams, LatticePoint, _point, _unchecked, validate_sides
+from .exact import ExactInt, _integer, _items
+from .lgv import HexagonParams, LatticePoint, _params, _point, _unchecked, validate_sides
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "HEXCOUNT_BUDGET"
@@ -76,13 +76,6 @@ def _resolve_budget(budget: int | Budget | None) -> Budget:
     return budget if isinstance(budget, Budget) else Budget(budget)
 
 
-def _items(name: str, value: object, of: str) -> tuple:
-    try:
-        return tuple(value)
-    except TypeError:
-        raise TypeError(f"{name} must be a sequence of {of}, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class MonotonePath:
     """Lattice path taking steps (+1, 0) or (0, -1); may be a single point."""
@@ -90,13 +83,9 @@ class MonotonePath:
     vertices: tuple[LatticePoint, ...]
 
     def __post_init__(self) -> None:
-        vertices, points = [], _items("path vertices", self.vertices, "(x, y) pairs")
-        for i, point in enumerate(points):
-            try:
-                vertices.append(LatticePoint(*point))
-            except TypeError:
-                raise TypeError(f"path vertex {i} must be an (x, y) pair, "
-                                f"got {point!r}") from None
+        points = _items("path vertices", self.vertices, "a sequence of (x, y) pairs")
+        vertices = [_items(f"path vertex {i}", point, "an (x, y) pair", 2)
+                    for i, point in enumerate(points)]
         if not vertices:
             raise ValueError("a path needs at least one vertex")
         object.__setattr__(self, "vertices", vertices := tuple(
@@ -130,11 +119,11 @@ class PathFamily:
     paths: tuple[MonotonePath, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "config", config := HexagonParams(*self.config))
+        object.__setattr__(self, "config", config := _params(self.config))
         object.__setattr__(self, "paths", paths := tuple(
             p if isinstance(p, MonotonePath) else
-            MonotonePath(_items(f"path {i}", p, "(x, y) pairs"))
-            for i, p in enumerate(_items("paths", self.paths, "paths"))))
+            MonotonePath(_items(f"path {i}", p, "a sequence of (x, y) pairs"))
+            for i, p in enumerate(_items("paths", self.paths, "a sequence of paths"))))
         starts, ends = config.starts, config.ends
         if len(paths) != len(starts):
             raise ValueError(f"expected {len(starts)} paths, got {len(paths)}")
@@ -189,6 +178,8 @@ def family_to_line(family: PathFamily) -> str:
 
 def parse_family_line(line: str, config: HexagonParams | Sequence[int]) -> PathFamily:
     """Inverse of family_to_line; a malformed vertex raises ``ValueError``."""
+    if not isinstance(line, str):
+        raise TypeError(f"line must be a str, got {line!r}")
     paths = []
     for index, chunk in enumerate(line.strip().split(";")):
         vertices = []
@@ -210,9 +201,7 @@ def _family(config: HexagonParams,
 
 
 def _path_search(
-    p: HexagonParams | Sequence[int],
-    budget: int | Budget | None,
-    build: bool,
+    config: HexagonParams, tracker: Budget, build: bool
 ) -> Iterator[PathFamily | None]:
     """Depth-first search with no depth limit; yields each family, or None
     for each when ``build`` is false.  The walk holds every path so far as
@@ -223,9 +212,7 @@ def _path_search(
     and ``occupied`` back to it.  A family is built from the walk, path i
     being walk[first[i]:first[i+1]], only when it is emitted, valid as
     built: each path steps right or down from its start to its end, and
-    ``occupied`` keeps the paths disjoint."""
-    config = HexagonParams(*p)
-    tracker = _resolve_budget(budget)
+    ``occupied`` keeps the paths disjoint.  p and the budget come checked."""
     starts, ends = [tuple(q) for q in config.starts], [tuple(q) for q in config.ends]
     size, used, limit = len(starts), tracker.used, tracker.limit
     walk: list[tuple[int, int]] = []
@@ -283,8 +270,8 @@ def enumerate_path_families(
     rectangle spanned by its endpoints, and no vertex may repeat across
     the family.
     """
-    count = 0
-    for count, family in enumerate(_path_search(p, budget, emit is not None), 1):
+    count, search = 0, _path_search(_params(p), _resolve_budget(budget), emit is not None)
+    for count, family in enumerate(search, 1):
         if emit is not None:
             emit(family)
     return count
@@ -295,7 +282,7 @@ def iter_path_families(
     budget: int | Budget | None = None,
 ) -> Iterator[PathFamily]:
     """The families of enumerate_path_families, in the same order, lazily."""
-    return _path_search(p, budget, True)
+    return _path_search(_params(p), _resolve_budget(budget), True)
 
 
 @dataclass(frozen=True)
@@ -306,8 +293,8 @@ class PlanePartition:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(_items(f"row {i}", row, "entries")
-                     for i, row in enumerate(_items("rows", self.rows, "rows")))
+        rows = tuple(_items(f"row {i}", row, "a sequence of entries") for i, row
+                     in enumerate(_items("rows", self.rows, "a sequence of rows")))
         if len({len(row) for row in rows}) > 1:
             raise ValueError("rows must have equal length")
         object.__setattr__(self, "rows", rows := tuple(  # plain ints, not bools
@@ -420,7 +407,7 @@ def enumerate_constrained_pp(
     one local: the first row is forced on a prefix, the last column is
     positive above row a+2-r and zero from it on.
     """
-    a, b, c, r, s, t = HexagonParams(*p)
+    a, b, c, r, s, t = _params(p)
     # First row: a forced prefix of b+2-s maxima c+2, then strictly below
     # the maximum, so every free entry is capped at c+1.
     return _fill_cells(a + 2, b + 2, c + 1, a + 2 - r, c + 2 - t,

@@ -687,7 +687,18 @@ def test_the_round_trip_makes_no_paths():
      r"^tiling must be a Tiling, got Region\("),
     (lambda: family_to_line(5), r"^family must be a PathFamily, got 5$"),
     (lambda: family_to_line("0 1,0 0"), r"^family must be a PathFamily, got '0 1,0 0'$"),
-], ids=["to-tiling", "to-tiling-list", "to-paths", "to-paths-region", "line", "line-str"])
+    (lambda: extend_to_full_hexagon(5), r"^tiling must be a Tiling, got 5$"),
+    (lambda: tiling_to_plane_partition(5), r"^tiling must be a Tiling, got 5$"),
+    (lambda: tiling_to_plane_partition(build_full_region((0, 0, 0, 1, 1, 1))),
+     r"^tiling must be a Tiling, got Region\("),
+    (lambda: render_svg(5), r"^target must be a Tiling or a Region, got 5$"),
+    (lambda: render_svg((0, 0, 0, 1, 1, 1)),
+     r"^target must be a Tiling or a Region, got \(0, 0, 0, 1, 1, 1\)$"),
+    (lambda: oracle.parse_family_line(5, (0, 0, 0, 1, 1, 1)), r"^line must be a str, got 5$"),
+    (lambda: oracle.parse_family_line(b"0 1,0 0", (0, 0, 0, 1, 1, 1)),
+     r"^line must be a str, got b'0 1,0 0'$"),
+], ids=["to-tiling", "to-tiling-list", "to-paths", "to-paths-region", "line", "line-str",
+        "extend", "to-pp", "to-pp-region", "render", "render-params", "parse", "parse-bytes"])
 def test_bijections_name_an_argument_of_the_wrong_type(call, message):
     with pytest.raises(TypeError, match=message):
         call()
