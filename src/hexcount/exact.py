@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 
 ExactInt = int
 factorial = math.factorial  # n! for n >= 0; ValueError below 0, TypeError on a float
@@ -40,9 +40,9 @@ def _integer(name: str, value: int, lo: float, hi: int | None = None) -> int:
 
 def _items(name: str, value: object, form: str, length: int | None = None) -> tuple:
     """The items of an iterable as a tuple, exactly ``length`` of them if
-    given; anything else raises ``TypeError``, naming it and the form."""
+    given (read to one past); else ``TypeError``, naming it and the form."""
     try:
-        items = tuple(value)
+        items = tuple(value if length is None else islice(value, length + 1))
         if length is None or len(items) == length:
             return items
     except TypeError:

@@ -9,10 +9,13 @@ import hexcount
 from hexcount import (
     CountMatrix,
     HexagonParams,
+    MonotonePath,
     PathFamily,
     Region,
+    Tiling,
     build_full_region,
     build_region,
+    count_paths,
     count_theorem1,
     det_condensation,
     det_elimination,
@@ -109,5 +112,25 @@ MATRIX = r"^matrix must be a CountMatrix or a sequence of rows, got 5$"
         "elimination", "condensation", "minor", "desnanot-jacobi", "delete-rows",
         "delete-cols"])
 def test_matrix_entry_points_name_a_non_iterable_argument(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+def read_at_most(n):
+    """An iterator of n items that fails the test if read further."""
+    yield from range(n)
+    pytest.fail(f"read past {n} items")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Region("full", (0, 0, 0, 1, 1, 1), [read_at_most(4)]),
+     r"^cell 0 must be a \(u, v, orientation\) triple"),
+    (lambda: Tiling(build_region((0, 0, 0, 1, 1, 1)), [read_at_most(3)]),
+     r"^tile 0 must be a \(down, up\) pair"),
+    (lambda: MonotonePath([read_at_most(3)]), r"^path vertex 0 must be an \(x, y\) pair"),
+    (lambda: count_paths(read_at_most(3), (0, 0)), r"^path start must be an \(x, y\) pair"),
+    (lambda: build_region(read_at_most(7)), r"^params must be an \(a, b, c, r, s, t\) tuple"),
+], ids=["cell", "tile", "vertex", "point", "params"])
+def test_a_fixed_length_argument_is_read_to_one_past_its_length(call, message):
     with pytest.raises(TypeError, match=message):
         call()
