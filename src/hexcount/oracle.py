@@ -281,7 +281,7 @@ def iter_path_families(
     p: HexagonParams | Sequence[int],
     budget: int | Budget | None = None,
 ) -> Iterator[PathFamily]:
-    """The families of enumerate_path_families, in the same order, lazily."""
+    """The families of enumerate_path_families, lazily; p and budget checked on the call."""
     return _path_search(_params(p), _resolve_budget(budget), True)
 
 

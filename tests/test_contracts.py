@@ -40,7 +40,8 @@ def test_every_public_callable_takes_a_single_int_cleanly(name):
 
 
 # The eight entry points that take a parameter tuple, the path search
-# by both its routes.
+# by both its routes; iter_path_families is called and never iterated,
+# so it must check p when it is called.
 TAKE_PARAMS = {
     "count_theorem1": count_theorem1,
     "enumerate_path_families": enumerate_path_families,
@@ -79,11 +80,6 @@ def test_a_hexagon_params_passed_in_is_the_one_kept():
     assert Region("full", p, build_full_region(p).cells).params is p
     assert PathFamily(p, family.paths).config is p
     assert PathFamily(tuple(p), family.paths).config == p
-
-
-def test_iter_path_families_checks_params_when_called():
-    with pytest.raises(TypeError, match=r"^params must be an \(a, b, c, r, s, t\) tuple"):
-        iter_path_families(5)
 
 
 def test_iter_path_families_checks_the_budget_when_called():
