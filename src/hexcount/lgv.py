@@ -18,7 +18,8 @@ builders skip.  Two independent exact determinant algorithms follow:
 
 * ``det_elimination``: fraction-free Gaussian elimination (Bareiss).
   All intermediate values stay integers; the quotient at each step is
-  exact by construction.
+  exact by construction, whichever nonzero pivot is taken.  Each step
+  takes the one least in absolute value, which keeps M's intermediates small.
 
 * ``det_condensation``: Dodgson condensation on contiguous blocks,
   bottom-up by block size (Dodgson 1866; Robbins and Rumsey 1986), by
@@ -270,9 +271,11 @@ def det_elimination(matrix: CountMatrix | Sequence[Sequence[int]]) -> ExactInt:
     """Exact determinant by Bareiss fraction-free elimination.
 
     The rows' and columns' gcds are taken out first and start the sign,
-    which the result is multiplied by.  Row swaps (with sign bookkeeping)
-    handle zero pivots; if no nonzero pivot exists in a column the
-    determinant is 0.  The 0 x 0 matrix has determinant 1 (empty product).
+    which the result is multiplied by.  Step k swaps in (flipping the sign)
+    the row of k..n-1 whose column-k entry is nonzero and least in absolute
+    value; with none, the determinant is 0.  Every entry at step k is still
+    a (k+1) x (k+1) minor of the row-permuted matrix, so the division stays
+    exact.  The 0 x 0 matrix has determinant 1 (empty product).
     """
     sign, rows = _as_rows(matrix)
     n = len(rows)
@@ -280,10 +283,11 @@ def det_elimination(matrix: CountMatrix | Sequence[Sequence[int]]) -> ExactInt:
         return 1
     prev = 1
     for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if pivot is None:
-                return 0
+        pivot = min((i for i in range(k, n) if rows[i][k]),
+                    key=lambda i: abs(rows[i][k]), default=None)
+        if pivot is None:
+            return 0
+        if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -318,6 +322,8 @@ def det_condensation(
     CLI never passes M with a > b+c (it turns p to ``fewest_paths``); the
     tests still do.
     """
+    if not (stats is None or isinstance(stats, CondensationStats)):
+        raise TypeError(f"stats must be a CondensationStats, got {stats!r}")
     content, rows = _as_rows(matrix)
     n = len(rows)
     inner, outer = [[1] * (n + 1)] * (n + 1), rows  # block sizes k-2, k-1

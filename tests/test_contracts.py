@@ -130,3 +130,12 @@ def read_at_most(n):
 def test_a_fixed_length_argument_is_read_to_one_past_its_length(call, message):
     with pytest.raises(TypeError, match=message):
         call()
+
+
+@pytest.mark.parametrize("bad", [5, {}], ids=["int", "dict"])
+def test_condensation_checks_its_stats_when_called(bad, monkeypatch):
+    # before any work: the determinant itself must not run
+    monkeypatch.setattr("hexcount.lgv._as_rows", lambda matrix: pytest.fail("ran"))
+    with pytest.raises(TypeError,
+                       match=rf"^stats must be a CondensationStats, got {re.escape(repr(bad))}$"):
+        det_condensation([[1, 2], [3, 4]], stats=bad)

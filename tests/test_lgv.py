@@ -224,6 +224,43 @@ def test_det_elimination_matches_leibniz(rows):
     assert det_elimination(rows) == det_leibniz(rows)
 
 
+# Each step pivots on the least nonzero |entry| of its column; the first
+# nonzero entry is not that one here.  Columns as seen after the content
+# pass, pivots by row.
+LEAST_PIVOTS = {
+    # step 0: -5, -2, 3 -> row 1 (a plain min would take -5); step 1: 13, -11
+    "negative": [[-5, 1, 2], [-2, 3, 1], [3, 1, 4]],
+    # step 0: 2, 1, -1 -> row 1, the first of the tie; step 1: -9, 6
+    "tie": [[4, 1, 3], [2, 5, 1], [-2, 1, 7]],
+    # step 0: 1, 0, 0 -> row 0, no swap; step 1: 4, 2 -> row 2
+    "row-k-only": [[3, 1, 2], [0, 4, 1], [0, 2, 5]],
+    # step 0: 3, 2, 1, 4 -> row 2; step 1: column 1 is all zero -> 0
+    "later-zero-column": [[3, 6, 5, 2], [2, 4, 7, 1], [1, 2, 3, 4], [4, 8, 9, 3]],
+    # step 0: 6, 1, 1 -> row 1; step 1: -23, -3 -> row 2; two swaps
+    "even-swaps": [[6, 1, 1], [1, 4, 1], [1, 1, 9]],
+    # steps 0-2 each swap: 9, 7, 5, 1 -> row 3, then rows 2 and 3
+    "odd-swaps": [[9, 1, 2, 1], [7, 1, 3, 2], [5, 2, 1, 4], [1, 3, 2, 5]],
+}
+
+
+@pytest.mark.parametrize("rows", LEAST_PIVOTS.values(), ids=LEAST_PIVOTS)
+def test_elimination_on_least_pivots_matches_leibniz(rows):
+    expected = det_leibniz(rows)
+    assert det_elimination(rows) == expected
+    assert det_elimination(rows[::-1]) == (-1) ** (len(rows) // 2) * expected
+
+
+def test_elimination_on_large_path_matrices_matches_the_closed_form():
+    # a=b=c=2n (order 2n+2), as propp runs it, and the largest count-det matrix
+    for n in (10, 20):
+        assert det_elimination(build_matrix_M(2 * n, 2 * n, 2 * n, n + 1, n + 1, n + 1)) \
+            == count_propp(n)
+    p = (39, 48, 41, 16, 4, 10)
+    m = build_matrix_M(*p)
+    assert len(m.entries) == 41
+    assert det_elimination(m) == det_condensation(m) == count_theorem1(p)
+
+
 @given(small_matrix)
 @settings(max_examples=150)
 def test_det_condensation_matches_elimination(rows):
