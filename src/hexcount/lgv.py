@@ -17,9 +17,8 @@ is the one check (integer entries, square shape), which this module's own
 builders skip.  Two independent exact determinant algorithms follow:
 
 * ``det_elimination``: fraction-free Gaussian elimination (Bareiss).
-  All intermediate values stay integers; the quotient at each step is
-  exact by construction, whichever nonzero pivot is taken.  Each step
-  takes the one least in absolute value, which keeps M's intermediates small.
+  All intermediates are minors, so each quotient is exact whichever
+  nonzero pivot is taken; each step takes the least in absolute value.
 
 * ``det_condensation``: Dodgson condensation on contiguous blocks,
   bottom-up by block size (Dodgson 1866; Robbins and Rumsey 1986), by
@@ -273,9 +272,9 @@ def det_elimination(matrix: CountMatrix | Sequence[Sequence[int]]) -> ExactInt:
     The rows' and columns' gcds are taken out first and start the sign,
     which the result is multiplied by.  Step k swaps in (flipping the sign)
     the row of k..n-1 whose column-k entry is nonzero and least in absolute
-    value; with none, the determinant is 0.  Every entry at step k is still
-    a (k+1) x (k+1) minor of the row-permuted matrix, so the division stays
-    exact.  The 0 x 0 matrix has determinant 1 (empty product).
+    value, which gives M smaller intermediates, or returns 0 if there is none.
+    Every entry at step k is a (k+1) x (k+1) minor of the row-permuted
+    matrix, so each division stays exact.  The 0 x 0 matrix has determinant 1.
     """
     sign, rows = _as_rows(matrix)
     n = len(rows)
