@@ -8,11 +8,13 @@ tiles.  Both are deterministic (fixed visit order) and budgeted: every
 search-tree node expansion spends one unit, and exceeding the budget
 raises rather than returning a partial count.  Each loop keeps its node
 count in a local, written to ``Budget.used`` before every yield or emit
-(and read back after it), on exhaustion and on the raise.  Neither
-search recurses, so neither has a depth limit: the path search walks
-straight on and stacks only the down steps it defers, and the fill
-reads its row rule from a table.  A public constructor checks what a
-caller hands it; what the searches emit is valid as built, so unchecked.
+(and read back after it), on exhaustion and on the raise; the fill's
+count is the variable of a ``for`` over a range ending at the limit.
+Neither search recurses, so neither has a depth limit: the path search
+walks straight on, its vertices ints on a flat grid, and stacks only
+the down steps it defers, and the fill reads its row rule from a table.
+A public constructor checks what a caller hands it; what the searches
+emit is valid as built, so unchecked.
 A path family holds its walks, each path's vertices as (x, y) pairs; a
 producer's family (the path search's, or ``tiling_to_paths``') holds its
 config and walks alone, and builds its ``MonotonePath``s and their
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import ExactInt, _integer, _items
@@ -67,7 +70,8 @@ class Budget:
         self.used = 0
 
     def spend(self, amount: int = 1) -> None:
-        self.used += amount
+        """Add amount, an int >= 0, to ``used``; past the limit, raise."""
+        self.used += _integer("amount", amount, 0)
         if self.used > self.limit:
             raise BudgetExceededError(self.limit)
 
@@ -204,56 +208,83 @@ def _path_search(
     config: HexagonParams, tracker: Budget, build: bool
 ) -> Iterator[PathFamily | None]:
     """Depth-first search with no depth limit; yields each family, or None
-    for each when ``build`` is false.  The walk holds every path so far as
-    (x, y) pairs, and goes straight on: right if it can, else down, and
-    from a path's end into the next path's start.  The stack keeps only
-    the down steps passed over, as (walk length before the vertex, path
-    index, (x, y)); a dead end or a family pops one, truncating the walk
-    and ``occupied`` back to it.  A family is built from the walk, path i
-    being walk[first[i]:first[i+1]], only when it is emitted, valid as
-    built: each path steps right or down from its start to its end, and
-    ``occupied`` keeps the paths disjoint.  p and the budget come checked."""
-    starts, ends = [tuple(q) for q in config.starts], [tuple(q) for q in config.ends]
+    for each when ``build`` is false.  A vertex (x, y) is the int
+    v = x*h + y, h the greatest y plus 2 (an empty row between columns),
+    so a right step is v + h and a down step v - 1; ``grid``, a bytearray
+    indexed by v, marks the vertices taken.  Path i may step right while
+    v < right, its end's x times h, that is while x is below its end's,
+    and down while y, kept as the walk moves, is above its end's.  The
+    walk holds every path so far as vertices and goes straight on: right
+    if it can, else down, and from a path's end into the next path's
+    start.  The stack keeps only the down steps passed over, as (walk
+    length before the vertex, path index, v); a dead end or a family pops
+    one, clearing the grid cells of the walk past it.  Path i is
+    walk[first[i]:first[i+1]].  (x, y) pairs are made only for an emitted
+    family, read from the table ``pairs``, and only for paths low on, those
+    the walk changed since the last family; the paths before them are
+    kept.  A family is valid as built: each path steps right or down from
+    its start to its end, and ``grid`` keeps the paths disjoint.  p and the
+    budget come checked."""
+    starts, ends = config.starts, config.ends
+    points = (*starts, *ends)
+    h = max(y for _, y in points) + 2
+    columns = max(points)[0] + 1  # the greatest x
+    grid = bytearray(columns * h)
+    pairs = list(product(range(columns), range(h))) if build else []  # pairs[v] is (x, y)
+    starts = [(x * h + y, y) for x, y in starts]
+    targets = [(x * h + y, x * h, y) for x, y in ends]  # (v, right, y)
     size, used, limit = len(starts), tracker.used, tracker.limit
-    walk: list[tuple[int, int]] = []
-    occupied: set[tuple[int, int]] = set()
-    first = [0] * size  # walk position where each path begins
-    stack: list[tuple[int, int, tuple[int, int]]] = []
-    pop, push, step, occupy = stack.pop, stack.append, walk.append, occupied.add
-    length, index, point, (tx, ty) = 0, 0, starts[0], ends[0]
+    walk = [0] * len(grid)  # a walk takes each vertex once at most
+    first = [0] * (size + 1)  # walk position where each path begins, and the length
+    made: list[tuple[tuple[int, int], ...]] = [()] * size  # the last family's walks
+    stack: list[tuple[int, int, int]] = []
+    pop, push = stack.pop, stack.append
+    length, index, low, (v, y), (end, right, ty) = 0, 0, 0, starts[0], targets[0]
     while True:
         if (used := used + 1) > limit:
             tracker.used = used
             raise BudgetExceededError(limit)
-        step(point)
-        occupy(point)
+        walk[length] = v
+        grid[v] = 1
         length += 1
-        x, y = point
-        if y > ty and (down := (x, y - 1)) not in occupied:
-            if x < tx and (point := (x + 1, y)) not in occupied:
-                push((length, index, down))  # right first, down later
+        if y > ty and not grid[v - 1]:
+            if v < right and not grid[v + h]:
+                push((length, index, v - 1))  # right first, down later
+                v += h
             else:
-                point = down
+                v -= 1
+                y -= 1
             continue
-        if x < tx and (point := (x + 1, y)) not in occupied:
+        if v < right and not grid[v + h]:
+            v += h
             continue
-        if x == tx and y == ty:  # the end stays occupied for the next paths
+        if v == end:  # the end stays taken for the next paths
             index += 1
             if index == size:
                 tracker.used = used
-                yield _family(config, (walk[i:j] for i, j in zip(
-                    first, [*first[1:], length]))) if build else None
-                used = tracker.used
-            elif (point := starts[index]) not in occupied:
+                if build:
+                    first[size] = length
+                    for i in range(low, size):  # paths low.. changed since the last family
+                        made[i] = tuple(map(pairs.__getitem__, walk[first[i]:first[i + 1]]))
+                    yield _family(config, made)
+                else:
+                    yield None
+                used, low = tracker.used, size
+            elif not grid[starts[index][0]]:
+                v, y = starts[index]
                 first[index] = length
-                tx, ty = ends[index]
+                end, right, ty = targets[index]
                 continue
         if not stack:
             break
-        length, index, point = pop()  # backtrack
-        occupied.difference_update(walk[length:])
-        del walk[length:]
-        tx, ty = ends[index]
+        top = length
+        length, index, v = pop()  # backtrack
+        for u in walk[length:top]:
+            grid[u] = 0
+        if index < low:
+            low = index
+        y = v % h
+        end, right, ty = targets[index]
     tracker.used = used
 
 
@@ -329,7 +360,12 @@ def _fill_cells(height: int, width: int, top: int, zero_from: int | None,
     decreasing order, each valid as built.  There is no stack and no
     recursion: a backtrack lowers the last cell past the prefix that is
     above 0, and the cells after it are re-capped from ``value``, the cell
-    last set.  Each entry tried spends one unit; the prefix spends none."""
+    last set.  Each entry tried spends one unit; the prefix spends none.
+    The count is the variable of a ``for`` over a range that ends at the
+    limit, so running out raises at ``Budget.used == limit + 1``.  After an
+    emit, ``Budget.used`` is read back; if the consumer moved it, the range
+    restarts from it and the node is entered again as a dead end (its
+    value set to -1, which meets no row rule), to backtrack from there."""
     cells = [top] * width + list(prefix)  # a row of caps above row 0
     start, end = len(cells), (height + 1) * width
     # a backtrack's scan stops at the nonzero cap or prefix cell before
@@ -342,31 +378,35 @@ def _fill_cells(height: int, width: int, top: int, zero_from: int | None,
     corners = range(top + 1) if corner is None else range(corner, corner + 1)
     count, k, value = 0, start, cells[start - 1]  # cells[:k] are set, value = cells[k-1]
     used, limit = tracker.used, tracker.limit
-    while True:
-        if (last := ends[k]) is None:  # inside a row: cap min(above, left)
-            if (cap := cells[k - width]) < value:
-                value = cap
-            cells[k] = value
-        elif (ok := value in last) and k < end:
-            cells[k] = value = cells[k - width]  # a row's first cell: cap above
-        else:
-            if ok and cells[k - width] in corners:
-                count += 1
-                if emit is not None:
-                    tracker.used = used
-                    emit(_unchecked(PlanePartition, rows=tuple(
-                        tuple(cells[i:i + width]) for i in range(width, end, width))))
-                    used = tracker.used
-            k -= 1
-            while not cells[k]:
+    while True:  # one node range, restarted when a consumer moves the count
+        # a count already past the limit still takes this node, then raises
+        for used in range(used, max(used, limit) + 1):
+            if (last := ends[k]) is None:  # inside a row: cap min(above, left)
+                if (cap := cells[k - width]) < value:
+                    value = cap
+                cells[k] = value
+            elif (ok := value in last) and k < end:
+                cells[k] = value = cells[k - width]  # a row's first cell: cap above
+            else:
+                if ok and cells[k - width] in corners:
+                    count += 1
+                    if emit is not None:
+                        tracker.used = used
+                        emit(_unchecked(PlanePartition, rows=tuple(
+                            tuple(cells[i:i + width]) for i in range(width, end, width))))
+                        if tracker.used != used:  # re-enter this node as a dead end,
+                            used, value = tracker.used, -1  # as -1 meets no row rule
+                            break
                 k -= 1
-            if k < start:
-                tracker.used = used
-                return count
-            cells[k] = value = cells[k] - 1
-        k += 1
-        if (used := used + 1) > limit:
-            tracker.used = used
+                while not cells[k]:
+                    k -= 1
+                if k < start:
+                    tracker.used = used
+                    return count
+                cells[k] = value = cells[k] - 1
+            k += 1
+        else:
+            tracker.used = used + 1
             raise BudgetExceededError(limit)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from functools import partial
 
 import pytest
@@ -41,6 +42,27 @@ def test_budget_spend_raises_past_limit():
         Budget(0)
     with pytest.raises(TypeError):
         Budget(2.5)
+
+
+def test_budget_spend_takes_a_nonnegative_int():
+    budget = Budget(100)
+    with pytest.raises(ValueError, match=r"^amount must be >= 0, got -5$"):
+        budget.spend(-5)
+    with pytest.raises(TypeError, match=r"^amount must be an integer, got 0\.5$"):
+        budget.spend(0.5)
+    assert budget.used == 0
+    budget.spend(0)
+    budget.spend(7)
+    assert budget.used == 7
+    # a consumer spending a float inside an emission stops the run there
+    first, tracker = [], Budget()
+    enumerate_constrained_pp((1, 1, 1, 1, 1, 1), budget=tracker,
+                             emit=lambda _: first.append(tracker.used))
+    tracker = Budget()
+    with pytest.raises(TypeError, match="amount must be an integer"):
+        enumerate_constrained_pp((1, 1, 1, 1, 1, 1), budget=tracker,
+                                 emit=lambda _: tracker.spend(0.5))
+    assert type(tracker.used) is int and tracker.used == first[0]
 
 
 def test_enumeration_stops_at_budget():
@@ -497,6 +519,63 @@ def test_every_budget_limit_stops_on_a_prefix_of_the_stream(params, enumerate_fn
         assert tracker.used == limit + 1
         assert seen == full[:len(seen)]
     assert seen  # the last limits stop past the first emission
+
+
+def _box(sides, emit, budget):
+    return enumerate_plane_partitions_box(*sides, emit=emit, budget=budget)
+
+
+# whether the search ends without another node after its last emission
+SPEND_TO_LIMIT_CASES = {
+    enumerate_path_families: ([(2, 1, 1, 2, 2, 1), (1, 1, 1, 1, 1, 1)], True),
+    _iterate_path_families: ([(2, 1, 1, 2, 2, 1), (1, 1, 1, 1, 1, 1)], True),
+    enumerate_constrained_pp: ([(2, 1, 1, 2, 2, 1), (1, 1, 1, 1, 1, 1)], False),
+    _box: ([(2, 2, 2), (3, 3, 3)], True),
+}
+
+
+@pytest.mark.parametrize("enumerate_fn", list(SPEND_TO_LIMIT_CASES))
+def test_a_consumer_spending_to_the_limit_stops_the_next_node(enumerate_fn):
+    # the count a consumer leaves at an emission is the one the search goes on
+    # from: spent up to the limit (and, by hand, past it), the next node raises
+    cases, ends_quietly = SPEND_TO_LIMIT_CASES[enumerate_fn]
+    for params, over in itertools.product(cases, (0, 5)):
+        full = []
+        enumerate_fn(params, full.append, Budget())
+        for n in (1, 2, len(full) // 2, len(full) - 1, len(full)):
+            tracker, emitted = Budget(10**6), []
+
+            def emit(x):
+                emitted.append(x)
+                if len(emitted) == n:
+                    tracker.spend(tracker.limit - tracker.used)
+                    tracker.used += over
+
+            if n == len(full) and ends_quietly:
+                enumerate_fn(params, emit, tracker)
+                assert tracker.used == 10**6 + over
+            else:
+                with pytest.raises(BudgetExceededError):
+                    enumerate_fn(params, emit, tracker)
+                assert tracker.used == 10**6 + over + 1
+            assert emitted == full[:n]
+
+
+def test_counting_and_emitting_spend_the_same_nodes():
+    sides_two = [p for p in all_params(2, 2, 2) if max(p[:3]) == 2]
+    for params in [*all_params(1, 1, 1), *random.Random(38).sample(sides_two, 8)]:
+        spent = []
+        for enumerate_fn in (enumerate_path_families, _iterate_path_families,
+                             enumerate_constrained_pp, _box):
+            case = params[:3] if enumerate_fn is _box else params
+            counted, emitted = Budget(), Budget()
+            if enumerate_fn is not _iterate_path_families:
+                enumerate_fn(case, None, counted)
+            enumerate_fn(case, lambda _: None, emitted)
+            spent.append((counted.used, emitted.used))
+        (paths, paths_emitted), (_, iterated), (pp, pp_emitted), (box, box_emitted) = spent
+        assert paths == paths_emitted == iterated > 0, params
+        assert pp == pp_emitted > 0 and box == box_emitted, params
 
 
 # a non-iterable argument is named, with its index inside a sequence
